@@ -1,15 +1,13 @@
 // Shared plumbing for the bench binaries' command lines and reports.
 //
 // Every bench main parses its flags through one parser (no per-binary
-// hand-rolled loops), so all seven binaries accept the same set and reject
-// unknown flags with the same error:
+// hand-rolled loops). ObsSession itself reads the observability flags, so
+// all seven binaries accept them:
 //
-//   --json <path>           write a machine-readable lz.bench.report
-//                           document (headline results + per-CostKind cycle
-//                           breakdown + counter snapshot; v2 adds latency
-//                           histograms and the cycle-sampling profile)
-//   --report-schema v1|v2   report schema (default v2; v1 reproduces the
-//                           pre-v2 document byte-for-byte)
+//   --json <path>           write a machine-readable lz.bench.report.v2
+//                           document (headline results, per-CostKind cycle
+//                           breakdown, counter snapshot, latency histograms
+//                           and the cycle-sampling profile)
 //   --trace <path>          arm the lz::obs event ring *and* the span
 //                           tracer for the same region and dump both as
 //                           Chrome trace-event JSON (instant events +
@@ -19,14 +17,8 @@
 //   --sample-period <N>     profiler sampling period in simulated cycles
 //                           (default 4096; 0 disables sampling)
 //   --ts-period <N>         time-series sampling period in simulated
-//                           cycles (0 = off); adds the v2 "timeseries"
+//                           cycles (0 = off); adds the "timeseries"
 //                           report section
-//   --cores <N>             size of the SMP machine (0 = binary default)
-//   --iters <K>             workload scale factor (default 1)
-//   --backend <B>           isolation backend to evaluate: ttbr_pan
-//                           (default — the live LightZone module; leaves
-//                           every golden byte-identical), poe, cca,
-//                           watchpoint, or lwc (cost-model backends)
 //   --no-trace-tier         disable the superblock trace tier for this run
 //                           (pure interpreter; A/B baseline for the tier's
 //                           speedup — simulated results are identical by
@@ -41,19 +33,29 @@
 //                           include it in the exposition — wall-clock, so
 //                           never part of byte-identity gates
 //   --help / -h             print this flag summary and exit 0
-//   --benchmark_*           passed through to google-benchmark untouched
 //
-// Any other `--flag` is an error: the binary prints the offender to stderr
-// and exits 2, so a typo can never silently run the wrong experiment. Both
-// the --help text and the unknown-flag message come from one place here,
-// so they cannot drift between binaries.
+// Three more flags steer the workload, and a binary accepts one only when
+// its main reads it (passes the matching BenchFlag to ObsSession):
 //
-// The report covers only the deterministic print_* phase, not the
-// wall-clock-driven BM_* loops, so two runs of the same binary produce
+//   --cores <N>             size of the SMP machine (0 = binary default)
+//   --iters <K>             workload scale factor (default 1)
+//   --backend <B>           isolation backend to evaluate: ttbr_pan
+//                           (default — the live LightZone module; leaves
+//                           every golden byte-identical), poe, cca,
+//                           watchpoint, or lwc (cost-model backends)
+//
+// Anything else — an unknown flag, a workload flag the binary does not
+// read, a positional argument — is an error: the binary prints the
+// offender to stderr and exits 2, so a typo can never silently run the
+// wrong experiment. Both the --help text and the unknown-flag message come
+// from one place here, so they cannot drift between binaries. A bench
+// whose --json/--trace/--profile/--metrics-out artifact cannot be written
+// exits 1.
+//
+// The benches are deterministic, so two runs of the same binary produce
 // byte-identical simulation sections. Host-timed headline numbers (MIPS)
-// are wall-clock by nature; ObsSession::repeats() tells the bench how many
-// in-process repeats to run (3 under v2, 1 under v1) and record_stats()
-// reports their mean plus v2-only `.min` / `.median` keys.
+// are wall-clock by nature; such a bench runs kRepeats in-process repeats
+// and record_stats() reports their mean plus `.min` / `.median` keys.
 #pragma once
 
 #include <algorithm>
@@ -81,11 +83,21 @@
 
 namespace lz::bench {
 
+// Workload flags a bench main reads, or-ed together into the `accepted`
+// mask it hands to ObsSession; the parser rejects the ones left out.
+enum BenchFlag : unsigned {
+  kCoresFlag = 1u << 0,    // --cores N
+  kItersFlag = 1u << 1,    // --iters K
+  kBackendFlag = 1u << 2,  // --backend B
+};
+
+// In-process repeats of a host-timed measurement (see record_stats()).
+inline constexpr unsigned kRepeats = 3;
+
 struct ObsOptions {
   std::string json_path;
   std::string trace_path;
   std::string profile_path;
-  obs::ReportSchema schema = obs::ReportSchema::kV2;
   u64 sample_period = obs::Profiler::kDefaultPeriod;  // 0 = profiler off
   u64 ts_period = 0;   // --ts-period N: time-series sampling (0 = off)
   unsigned cores = 0;  // --cores N: size of the SMP machine (0 = not given)
@@ -98,55 +110,64 @@ struct ObsOptions {
   bool self_profile = false;  // --self-profile: host.self.* tick brackets
 };
 
-// The one flag summary every bench binary prints for --help; keep in sync
-// with the header comment above.
-inline void print_bench_usage(const char* argv0, std::FILE* out) {
+// The one flag summary every bench binary prints for --help, listing the
+// workload flags in `accepted` only; keep in sync with the header comment
+// above.
+inline void print_bench_usage(const char* argv0, unsigned accepted,
+                              std::FILE* out) {
   std::fprintf(
       out,
-      "usage: %s [flags] [--benchmark_* flags]\n"
-      "  --json <path>          write lz.bench.report JSON\n"
-      "  --report-schema v1|v2  report schema (default v2)\n"
+      "usage: %s [flags]\n"
+      "  --json <path>          write lz.bench.report.v2 JSON\n"
       "  --trace <path>         Chrome/Perfetto trace: arch events + spans\n"
       "  --profile <path>       collapsed stacks (flamegraph.pl input)\n"
       "  --sample-period <N>    profiler period, simulated cycles "
       "(default %llu, 0 = off)\n"
       "  --ts-period <N>        time-series sampling period, simulated "
       "cycles (0 = off)\n"
-      "  --cores <N>            SMP machine size (default: binary-specific)\n"
-      "  --iters <K>            workload scale factor (default 1)\n"
-      "  --backend <B>          ttbr_pan (default) | poe | cca | watchpoint "
-      "| lwc\n"
       "  --no-trace-tier        interpreter only (A/B: tier speedup)\n"
       "  --metrics-out <path>   arm the metrics plane; write Prometheus-style\n"
       "                         exposition (live-updated under --ts-period)\n"
-      "  --self-profile         host.self.* wall-clock tier attribution\n"
-      "  --help, -h             this text\n",
+      "  --self-profile         host.self.* wall-clock tier attribution\n",
       argv0, static_cast<unsigned long long>(obs::Profiler::kDefaultPeriod));
+  if (accepted & kCoresFlag) {
+    std::fprintf(out,
+                 "  --cores <N>            SMP machine size (default: "
+                 "binary-specific)\n");
+  }
+  if (accepted & kItersFlag) {
+    std::fprintf(out,
+                 "  --iters <K>            workload scale factor (default "
+                 "1)\n");
+  }
+  if (accepted & kBackendFlag) {
+    std::fprintf(out,
+                 "  --backend <B>          ttbr_pan (default) | poe | cca | "
+                 "watchpoint | lwc\n");
+  }
+  std::fprintf(out, "  --help, -h             this text\n");
 }
 
-// Parses the shared flag set out of argv, leaving only argv[0], positional
-// arguments, and --benchmark_* flags for benchmark::Initialize. Unknown
-// --flags (and malformed values for known ones) are fatal: exit(2) with a
-// message naming the offender.
-inline ObsOptions parse_bench_flags(int* argc, char** argv) {
+// Parses argv against the shared flag set plus the workload flags in
+// `accepted`. Anything else (and malformed values for known flags) is
+// fatal: exit(2) with a message naming the offender.
+inline ObsOptions parse_bench_flags(int argc, char** argv, unsigned accepted) {
   ObsOptions opts;
-  std::string schema_str, cores_str, period_str, ts_period_str, iters_str;
-  std::string backend_str;
+  std::string cores_str, period_str, ts_period_str, iters_str, backend_str;
   const auto die = [&](const char* what, const std::string& arg) {
     std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, arg.c_str());
-    print_bench_usage(argv[0], stderr);
+    print_bench_usage(argv[0], accepted, stderr);
     std::exit(2);
   };
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (arg == "--help" || arg == "-h") {
-      print_bench_usage(argv[0], stdout);
+      print_bench_usage(argv[0], accepted, stdout);
       std::exit(0);
     }
     const auto take = [&](std::string_view flag, std::string* dst) {
       if (arg == flag) {
-        if (i + 1 >= *argc) die("missing value for", std::string(arg));
+        if (i + 1 >= argc) die("missing value for", std::string(arg));
         *dst = argv[++i];
         return true;
       }
@@ -167,31 +188,16 @@ inline ObsOptions parse_bench_flags(int* argc, char** argv) {
     }
     if (take("--json", &opts.json_path) ||
         take("--metrics-out", &opts.metrics_path) ||
-        take("--report-schema", &schema_str) ||
         take("--trace", &opts.trace_path) ||
         take("--profile", &opts.profile_path) ||
         take("--sample-period", &period_str) ||
         take("--ts-period", &ts_period_str) ||
-        take("--cores", &cores_str) ||
-        take("--iters", &iters_str) ||
-        take("--backend", &backend_str)) {
-      continue;
-    }
-    if (arg.rfind("--benchmark_", 0) == 0 || arg.rfind("--", 0) != 0) {
-      argv[out++] = argv[i];
+        ((accepted & kCoresFlag) && take("--cores", &cores_str)) ||
+        ((accepted & kItersFlag) && take("--iters", &iters_str)) ||
+        ((accepted & kBackendFlag) && take("--backend", &backend_str))) {
       continue;
     }
     die("unknown flag", std::string(arg));
-  }
-  *argc = out;
-  if (!schema_str.empty()) {
-    if (schema_str == "v1") {
-      opts.schema = obs::ReportSchema::kV1;
-    } else if (schema_str == "v2") {
-      opts.schema = obs::ReportSchema::kV2;
-    } else {
-      die("unknown report schema", schema_str);
-    }
   }
   if (!cores_str.empty()) {
     const long n = std::strtol(cores_str.c_str(), nullptr, 10);
@@ -216,23 +222,25 @@ inline ObsOptions parse_bench_flags(int* argc, char** argv) {
   return opts;
 }
 
-// One per bench main. Construction resets all process-wide observability
-// state (so the report covers exactly this run), arms the event ring when a
-// trace was requested, and arms the sampling profiler when a v2 report or a
-// collapsed-stack file was requested; finish() assembles and writes the
-// artifacts.
+// One per bench main. Construction parses the command line (`accepted`
+// names the BenchFlags this main reads), resets all process-wide
+// observability state (so the report covers exactly this run), arms the
+// event ring when a trace was requested, and arms the sampling profiler
+// when a report or a collapsed-stack file was requested; finish()
+// assembles and writes the artifacts.
 class ObsSession {
  public:
   static constexpr std::size_t kTraceCapacity = 1u << 16;
 
-  ObsSession(std::string bench_name, int* argc, char** argv)
-      : opts_(parse_bench_flags(argc, argv)), report_(std::move(bench_name)) {
+  ObsSession(std::string bench_name, int argc, char** argv,
+             unsigned accepted = 0)
+      : opts_(parse_bench_flags(argc, argv, accepted)),
+        report_(std::move(bench_name)) {
     obs::reset_all();
     // Applies to every core constructed after this point — the bench
     // builds its machines inside the session, so the whole run is A/B
     // switchable from the command line (LZ_TRACE_TIER=0 works too).
     if (opts_.no_trace_tier) sim::set_trace_tier_default(false);
-    report_.set_schema(opts_.schema);
     if (!opts_.trace_path.empty()) {
       obs::trace().arm(kTraceCapacity);
       obs::spans().arm(kTraceCapacity);
@@ -250,8 +258,7 @@ class ObsSession {
     }
     if (opts_.self_profile) obs::selfprof().enable();
     const bool want_profile =
-        !opts_.profile_path.empty() ||
-        (opts_.schema == obs::ReportSchema::kV2 && !opts_.json_path.empty());
+        !opts_.profile_path.empty() || !opts_.json_path.empty();
     if (want_profile && opts_.sample_period > 0) {
       obs::profiler().arm(opts_.sample_period);
     }
@@ -274,24 +281,24 @@ class ObsSession {
     report_.add_result(std::move(key), value);
   }
 
-  // Records a repeated host-timed measurement: mean under the bare key
-  // (matches the single-repeat v1 layout), plus `.min` and `.median` keys
-  // under v2 so reports expose run-to-run variance.
+  // Records a repeated host-timed measurement: mean under the bare key,
+  // plus `.min` and `.median` keys so reports expose run-to-run variance.
   void add_stats(const std::string& key, std::vector<double> values) {
     if (values.empty()) return;
     double sum = 0;
     for (const double v : values) sum += v;
     report_.add_result(key, sum / static_cast<double>(values.size()));
-    if (opts_.schema != obs::ReportSchema::kV2) return;
     std::sort(values.begin(), values.end());
     report_.add_result(key + ".min", values.front());
     report_.add_result(key + ".median", values[values.size() / 2]);
   }
 
-  // Writes the requested artifacts. Call after the print_* phase and
-  // before benchmark::RunSpecifiedBenchmarks() so the gbench timing loops
-  // (wall-clock-dependent iteration counts) cannot perturb them.
-  void finish() {
+  // Writes the requested artifacts after the print_* phase and returns the
+  // process exit status: 0, or 1 when any artifact could not be written
+  // (each failure is named on stderr), so mains end with
+  // `return obs.finish();`.
+  int finish() {
+    bool ok = true;
     const bool spans_armed = obs::spans().armed();
     if (!opts_.trace_path.empty()) {
       obs::trace().disarm();
@@ -304,6 +311,7 @@ class ObsSession {
       } else {
         std::fprintf(stderr, "obs: failed to write trace to %s\n",
                      opts_.trace_path.c_str());
+        ok = false;
       }
     }
     if (!opts_.profile_path.empty()) {
@@ -314,6 +322,7 @@ class ObsSession {
       } else {
         std::fprintf(stderr, "obs: failed to write profile to %s\n",
                      opts_.profile_path.c_str());
+        ok = false;
       }
     }
     if (!opts_.metrics_path.empty()) {
@@ -326,11 +335,12 @@ class ObsSession {
       } else {
         std::fprintf(stderr, "obs: failed to write metrics exposition to %s\n",
                      opts_.metrics_path.c_str());
+        ok = false;
       }
     }
     if (opts_.json_path.empty()) {
       obs::profiler().disarm();
-      return;
+      return ok ? 0 : 1;
     }
     const auto& ledger = obs::cycle_ledger();
     report_.set_cycles_total(ledger.total());
@@ -339,36 +349,36 @@ class ObsSession {
                          ledger.of(k));
     }
     report_.add_counters(obs::registry().snapshot());
-    if (opts_.schema == obs::ReportSchema::kV2) {
-      report_.add_histograms(obs::histograms().snapshot());
-      // Capture the profile while the profiler is still armed so the
-      // section records the effective sampling period.
-      if (opts_.sample_period > 0) report_.set_profile(obs::profiler());
-      // Optional v3 sections: emitted only when their instrument ran, so
-      // reports from flagless runs stay byte-identical with pre-v3 output.
-      if (opts_.ts_period > 0) {
-        // Final snapshot catches the tail between the last period boundary
-        // and the end of the run; set_timeseries() while armed records the
-        // period itself.
-        obs::timeseries().sample_now();
-        report_.set_timeseries(obs::timeseries());
-        obs::timeseries().disarm();
-      }
-      if (spans_armed) report_.set_spans(obs::spans());
-      // Host-counter section ("host"): `sim.trace.*` and friends in every
-      // v2 report, not just bench/throughput's results. Emitted only when
-      // the engine registered host counters (Report skips empty sections),
-      // and values depend on host-side caching — lz_report's
-      // --require-sim-identical strips this member before comparing.
-      report_.add_host_counters(obs::registry().host_snapshot());
+    report_.add_histograms(obs::histograms().snapshot());
+    // Capture the profile while the profiler is still armed so the section
+    // records the effective sampling period.
+    if (opts_.sample_period > 0) report_.set_profile(obs::profiler());
+    // Optional sections: emitted only when their instrument ran, so reports
+    // from flagless runs stay byte-identical with the checked-in golden.
+    if (opts_.ts_period > 0) {
+      // Final snapshot catches the tail between the last period boundary
+      // and the end of the run; set_timeseries() while armed records the
+      // period itself.
+      obs::timeseries().sample_now();
+      report_.set_timeseries(obs::timeseries());
+      obs::timeseries().disarm();
     }
+    if (spans_armed) report_.set_spans(obs::spans());
+    // Host-counter section ("host"): `sim.trace.*` and friends in every
+    // report, not just bench/throughput's results. Emitted only when the
+    // engine registered host counters (Report skips empty sections), and
+    // values depend on host-side caching — lz_report's
+    // --require-sim-identical strips this member before comparing.
+    report_.add_host_counters(obs::registry().host_snapshot());
     obs::profiler().disarm();
     if (report_.write(opts_.json_path)) {
       std::printf("obs: wrote report to %s\n", opts_.json_path.c_str());
     } else {
       std::fprintf(stderr, "obs: failed to write report to %s\n",
                    opts_.json_path.c_str());
+      ok = false;
     }
+    return ok ? 0 : 1;
   }
 
   static ObsSession* instance() { return instance_; }
@@ -376,10 +386,6 @@ class ObsSession {
   unsigned cores() const { return opts_.cores; }
   u64 iters() const { return opts_.iters; }
   core::BackendKind backend() const { return opts_.backend; }
-  bool v2() const { return opts_.schema == obs::ReportSchema::kV2; }
-  // In-process repeats for host-timed measurements: v1 keeps the historic
-  // single run (byte-identical goldens), v2 runs three and reports spread.
-  unsigned repeats() const { return v2() ? 3 : 1; }
 
  private:
   ObsOptions opts_;
@@ -396,7 +402,7 @@ inline void record(std::string key, u64 value) {
   if (auto* s = ObsSession::instance()) s->add_result(std::move(key), value);
 }
 
-// Repeated-measurement hook: mean under `key`, `.min`/`.median` under v2.
+// Repeated-measurement hook: mean under `key`, plus `.min`/`.median`.
 inline void record_stats(const std::string& key, std::vector<double> values) {
   if (auto* s = ObsSession::instance()) s->add_stats(key, std::move(values));
 }

@@ -2,8 +2,6 @@
 // Watchpoint, and simulated-lwC Nginx (1 worker, 1 KB HTTPS file) on
 // Carmel Host/Guest and Cortex Host/Guest, across client concurrency —
 // plus the §9.1 memory-overhead numbers.
-#include <benchmark/benchmark.h>
-
 #include <cctype>
 #include <cstdio>
 #include <string>
@@ -218,27 +216,11 @@ void print_fig3_smp(unsigned cores) {
   std::printf("\n");
 }
 
-void BM_HttpdRequest(benchmark::State& state) {
-  const auto mech = static_cast<Mechanism>(state.range(0));
-  HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
-  params.requests = 100;
-  const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         mech, 42};
-  double cycles = 0;
-  for (auto _ : state) {
-    cycles = run_httpd(config, params).cycles_per_request;
-  }
-  state.counters["sim_cycles_per_request"] = cycles;
-}
-BENCHMARK(BM_HttpdRequest)
-    ->Arg(static_cast<int>(Mechanism::kNone))
-    ->Arg(static_cast<int>(Mechanism::kLzTtbr))
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  lz::bench::ObsSession obs("fig3_nginx", &argc, argv);
+  lz::bench::ObsSession obs("fig3_nginx", argc, argv,
+                            lz::bench::kBackendFlag | lz::bench::kCoresFlag);
   if (obs.backend() != lz::core::BackendKind::kTtbrPan) {
     print_fig3_backend(obs.backend());
   } else if (obs.cores() > 0) {
@@ -246,8 +228,5 @@ int main(int argc, char** argv) {
   } else {
     print_fig3();
   }
-  obs.finish();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return obs.finish();
 }

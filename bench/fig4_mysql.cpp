@@ -2,8 +2,6 @@
 // Watchpoint, and simulated-lwC MySQL (sysbench OLTP read-write, 10 tables
 // x 10,000 records) across client thread counts on Carmel Host/Guest and
 // Cortex Host/Guest — plus the §9.2 memory-overhead numbers.
-#include <benchmark/benchmark.h>
-
 #include <cctype>
 #include <cstdio>
 #include <string>
@@ -105,30 +103,10 @@ void print_fig4() {
   bench::record("memory.ttbr_table_pages", ttbr.isolation_table_pages);
 }
 
-void BM_DbmsTxn(benchmark::State& state) {
-  const auto mech = static_cast<Mechanism>(state.range(0));
-  DbmsParams params = DbmsParams::defaults(arch::Platform::cortex_a55());
-  params.transactions = 60;
-  const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         mech, 42};
-  double cycles = 0;
-  for (auto _ : state) {
-    cycles = run_dbms(config, params).cpu_cycles_per_txn;
-  }
-  state.counters["sim_cycles_per_txn"] = cycles;
-}
-BENCHMARK(BM_DbmsTxn)
-    ->Arg(static_cast<int>(Mechanism::kNone))
-    ->Arg(static_cast<int>(Mechanism::kLzTtbr))
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  lz::bench::ObsSession obs("fig4_mysql", &argc, argv);
+  lz::bench::ObsSession obs("fig4_mysql", argc, argv);
   print_fig4();
-  obs.finish();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return obs.finish();
 }

@@ -2,8 +2,6 @@
 // simulated lwC on the NVM data-structure benchmark (2 MB buffers,
 // fixed-complexity substring searches), for varying domain counts, on
 // Carmel Host/Guest and Cortex Host/Guest — plus the §9.3 memory numbers.
-#include <benchmark/benchmark.h>
-
 #include <cctype>
 #include <cstdio>
 #include <string>
@@ -101,31 +99,10 @@ void print_fig5() {
   bench::record("memory.ttbr_table_pages", ttbr.isolation_table_pages);
 }
 
-void BM_NvmSearch(benchmark::State& state) {
-  const auto mech = static_cast<Mechanism>(state.range(0));
-  NvmParams params;
-  params.searches = 1000;
-  params.buffers = 8;
-  const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
-                         mech, 42};
-  double cycles = 0;
-  for (auto _ : state) {
-    cycles = run_nvm(config, params).cycles_per_search;
-  }
-  state.counters["sim_cycles_per_search"] = cycles;
-}
-BENCHMARK(BM_NvmSearch)
-    ->Arg(static_cast<int>(Mechanism::kNone))
-    ->Arg(static_cast<int>(Mechanism::kLzTtbr))
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  lz::bench::ObsSession obs("fig5_nvm", &argc, argv);
+  lz::bench::ObsSession obs("fig5_nvm", argc, argv);
   print_fig5();
-  obs.finish();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return obs.finish();
 }

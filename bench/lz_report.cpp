@@ -1,7 +1,11 @@
-// lz_report — diff and regression-gate lz.bench.report documents.
+// lz_report — validate, diff and regression-gate lz.bench.report documents.
 //
 // Usage:
+//   lz_report <report.json>
 //   lz_report <base.json> <candidate.json>... [gates]
+//
+// With one file and no gates it only validates that file and prints
+// `<file>: ok (<schema>, bench=<name>)`.
 //
 // Gates (all optional; with none given the tool only prints the diff):
 //   --result-min KEY:PCT     the best candidate's results[KEY] must be at
@@ -71,7 +75,8 @@ struct Gate {
 [[noreturn]] void usage(const char* argv0, int code) {
   std::FILE* out = code == 0 ? stdout : stderr;
   std::fprintf(out,
-               "usage: %s <base.json> <candidate.json>... [gates]\n"
+               "usage: %s <report.json>\n"
+               "       %s <base.json> <candidate.json>... [gates]\n"
                "  --result-min KEY:PCT     best candidate results[KEY] >= "
                "(1-PCT/100) x base\n"
                "  --result-floor KEY:VAL   best candidate results[KEY] >= "
@@ -94,7 +99,7 @@ struct Gate {
                "  --trend-key KEY          extra results key to trend-gate "
                "(repeatable)\n"
                "  --help, -h               this text\n",
-               argv0);
+               argv0, argv0);
   std::exit(code);
 }
 
@@ -470,6 +475,17 @@ int main(int argc, char** argv) {
     }
     return run_trend(files[0], history_path, trend_window, trend_max_drift,
                      trend_keys);
+  }
+  const bool any_gate = !result_min.empty() || !result_floor.empty() ||
+                        !hist_max.empty() || require_cycles_equal ||
+                        require_sim_identical;
+  if (files.size() == 1 && !any_gate) {
+    const auto doc = load_report(files[0]);
+    if (!doc.has_value()) return 2;
+    std::printf("%s: ok (%s, bench=%s)\n", files[0],
+                doc->find("schema")->as_string().c_str(),
+                doc->find("bench")->as_string().c_str());
+    return 0;
   }
   if (files.size() < 2) usage(argv[0], 2);
 

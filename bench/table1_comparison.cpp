@@ -2,8 +2,6 @@
 // ARM64. The LightZone row's properties are demonstrated by this repo's
 // tests; the scalability and switch-cost figures for LightZone and the
 // two implemented baselines are measured live.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -59,23 +57,10 @@ void print_table1() {
       "on raw instruction encodings, not source.\n\n");
 }
 
-void BM_LzGateSwitch(benchmark::State& state) {
-  double avg = 0;
-  for (auto _ : state) {
-    avg = lz_switch_avg_cycles(arch::Platform::cortex_a55(),
-                               Placement::kHost, 2, 200);
-  }
-  state.counters["sim_cycles_per_switch"] = avg;
-}
-BENCHMARK(BM_LzGateSwitch)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  lz::bench::ObsSession obs("table1_comparison", &argc, argv);
+  lz::bench::ObsSession obs("table1_comparison", argc, argv);
   print_table1();
-  obs.finish();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return obs.finish();
 }

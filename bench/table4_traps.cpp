@@ -2,8 +2,6 @@
 // evaluation SoCs, plus the §5.2 optimisation ablations. Every row is
 // measured by actually executing the trap path on the simulated machine
 // (real SVC/HVC instructions through the API stub for the LightZone rows).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -174,29 +172,15 @@ void print_backend_primitives(lz::core::BackendKind kind) {
   std::printf("\n");
 }
 
-void BM_MeasureTrapCosts(benchmark::State& state) {
-  const auto& plat = state.range(0) == 0 ? arch::Platform::cortex_a55()
-                                         : arch::Platform::carmel();
-  Cycles last = 0;
-  for (auto _ : state) {
-    last = measure_trap_costs(plat).host_syscall;
-    benchmark::DoNotOptimize(last);
-  }
-  state.counters["sim_cycles_host_syscall"] = static_cast<double>(last);
-}
-BENCHMARK(BM_MeasureTrapCosts)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  lz::bench::ObsSession obs("table4_traps", &argc, argv);
+  lz::bench::ObsSession obs("table4_traps", argc, argv,
+                            lz::bench::kBackendFlag);
   if (obs.backend() != lz::core::BackendKind::kTtbrPan) {
     print_backend_primitives(obs.backend());
   } else {
     print_table4();
   }
-  obs.finish();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return obs.finish();
 }

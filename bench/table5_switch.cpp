@@ -2,8 +2,6 @@
 // distinct numbers of protected domains — LightZone vs the Watchpoint
 // baseline on Carmel host, Carmel guest, and Cortex-A55 — plus the lwC
 // baseline and the ASID-tagging ablation (§4.1.2).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -207,7 +205,7 @@ void print_table5_backend(lz::core::BackendKind kind) {
   print_tlb_hit_rate();
 }
 
-// Seed-stability block (v2 reports only): the same 2-domain sweep under
+// Seed-stability block: the same 2-domain sweep under
 // three TLB replacement seeds. The spread is simulated, so mean/min/median
 // are deterministic — a cheap cross-check that the headline Table-5 numbers
 // are not an artifact of one lucky replacement sequence.
@@ -225,21 +223,11 @@ void print_seed_stability() {
   bench::record_stats("seed_stability.cortex_host.lz.2", std::move(per_seed));
 }
 
-void BM_SwitchSweep(benchmark::State& state) {
-  const int domains = static_cast<int>(state.range(0));
-  double avg = 0;
-  for (auto _ : state) {
-    avg = lz_switch_avg_cycles(arch::Platform::cortex_a55(),
-                               Placement::kHost, domains, 500);
-  }
-  state.counters["sim_cycles_per_switch"] = avg;
-}
-BENCHMARK(BM_SwitchSweep)->Arg(2)->Arg(128)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  lz::bench::ObsSession obs("table5_switch", &argc, argv);
+  lz::bench::ObsSession obs("table5_switch", argc, argv,
+                            lz::bench::kBackendFlag | lz::bench::kCoresFlag);
   if (obs.backend() != lz::core::BackendKind::kTtbrPan) {
     // Per-backend mode: the default (ttbr_pan) path below stays untouched
     // so its goldens remain byte-identical.
@@ -248,12 +236,7 @@ int main(int argc, char** argv) {
     print_table5_smp(obs.cores());
   } else {
     print_table5();
-    // v1 reports predate this block; running it only under v2 keeps the
-    // checked-in v1 golden byte-identical.
-    if (obs.v2()) print_seed_stability();
+    print_seed_stability();
   }
-  obs.finish();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return obs.finish();
 }

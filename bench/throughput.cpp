@@ -15,10 +15,9 @@
 //
 // Flags: the shared bench_util set. --cores N caps the scaling sweep,
 // --iters K scales every workload (TSan runs use small K so the sanitizer
-// finishes quickly). Under the v2 report schema the three single-core
-// workloads run ObsSession::repeats() times: MIPS and wall time are
-// reported as mean plus `.min`/`.median`, while sim_insns/sim_cycles are
-// identical across repeats by construction.
+// finishes quickly). The single-core workloads run bench::kRepeats times:
+// MIPS and wall time are reported as mean plus `.min`/`.median`, while
+// sim_insns/sim_cycles are identical across repeats by construction.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -324,16 +323,17 @@ void report_backend_switch(lz::core::BackendKind kind, u64 scale,
 }  // namespace
 
 int main(int argc, char** argv) {
-  lz::bench::ObsSession obs("throughput", &argc, argv);
+  lz::bench::ObsSession obs("throughput", argc, argv,
+                            lz::bench::kCoresFlag | lz::bench::kItersFlag |
+                                lz::bench::kBackendFlag);
   const u64 scale = obs.iters();
   const unsigned max_cores = obs.cores() > 0 ? obs.cores() : 4;
 
   if (obs.backend() != lz::core::BackendKind::kTtbrPan) {
     // Per-backend mode: the interpreter sections below are unaffected by
     // the backend choice, so the default path stays byte-identical.
-    report_backend_switch(obs.backend(), scale, obs.repeats());
-    obs.finish();
-    return 0;
+    report_backend_switch(obs.backend(), scale, bench::kRepeats);
+    return obs.finish();
   }
 
   std::printf("Host throughput (simulated MIPS), %s build\n\n",
@@ -344,10 +344,10 @@ int main(int argc, char** argv) {
 #endif
   );
 
-  report("straight_line", run_straight_line, 100'000 * scale, obs.repeats());
-  report("tight_loop", run_tight_loop, 400'000 * scale, obs.repeats());
-  report("pointer_chase", run_pointer_chase, 400'000 * scale, obs.repeats());
-  report("domain_switch", run_domain_switch, 150'000 * scale, obs.repeats());
+  report("straight_line", run_straight_line, 100'000 * scale, bench::kRepeats);
+  report("tight_loop", run_tight_loop, 400'000 * scale, bench::kRepeats);
+  report("pointer_chase", run_pointer_chase, 400'000 * scale, bench::kRepeats);
+  report("domain_switch", run_domain_switch, 150'000 * scale, bench::kRepeats);
 
   // Trace-tier telemetry: host-only counters (obs host_snapshot — kept out
   // of the simulated counter section by design), accumulated across every
@@ -387,6 +387,5 @@ int main(int argc, char** argv) {
     if (mips1 > 0) bench::record(base + ".speedup_vs_1", m / mips1);
   }
 
-  obs.finish();
-  return 0;
+  return obs.finish();
 }

@@ -10,13 +10,24 @@ cmake -B build -G Ninja >/dev/null
 cmake --build build
 ctest --test-dir build --output-on-failure
 
-# --json smoke test: run the Table 5 print phase only (no gbench loops).
-# The default schema is now v2: latency histograms with percentiles and the
-# cycle-sampling profile with per-domain attribution must all be present,
-# and the document must round-trip through the repo's own validator.
+# expect_exit CODE CMD...: CMD must exit with exactly CODE (negative legs).
+expect_exit() {
+  local want=$1 rc=0
+  shift
+  "$@" >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne "$want" ]; then
+    echo "ci.sh: '$*' exited $rc, expected $want" >&2
+    exit 1
+  fi
+}
+
+# --json smoke test: the lz.bench.report.v2 document must carry latency
+# histograms with percentiles and the cycle-sampling profile with
+# per-domain attribution, and must round-trip through the repo's own
+# validator.
 report=/tmp/t5.json
 rm -f "$report"
-build/bench/table5_switch --json "$report" --benchmark_filter=NONE >/dev/null
+build/bench/table5_switch --json "$report" >/dev/null
 test -s "$report"
 grep -q '"schema":"lz.bench.report.v2"' "$report"
 grep -q '"counters":{' "$report"
@@ -26,25 +37,12 @@ grep -q '"lz.gate.switch_cycles"' "$report"
 grep -q '"p99":' "$report"
 grep -q '"profile":{' "$report"
 grep -q '"by_domain":{"vmid' "$report"
-build/bench/report_check "$report"
+build/bench/lz_report "$report"
 
-# v1 golden: the legacy schema must reproduce the checked-in pre-v2 report
-# byte for byte — the entire PMU/profiler/histogram stack is observe-only
-# and must not move a single simulated cycle or counter. The run above
-# executes with the superblock trace tier enabled (the default), so this is
-# also the tier-on golden gate; the tier-off re-run proves the tier is
-# architecturally invisible in both directions.
-v1=/tmp/t5.v1.json
-rm -f "$v1"
-build/bench/table5_switch --report-schema v1 --json "$v1" \
-  --benchmark_filter=NONE >/dev/null
-cmp "$v1" BENCH_table5_v1.json
-build/bench/report_check "$v1"
-v1_off=/tmp/t5.v1.notrace.json
-rm -f "$v1_off"
-LZ_TRACE_TIER=0 build/bench/table5_switch --report-schema v1 --json "$v1_off" \
-  --benchmark_filter=NONE >/dev/null
-cmp "$v1_off" BENCH_table5_v1.json
+# The validator must refuse a damaged report: a truncated copy is malformed
+# JSON, which lz_report rejects as a load error (exit 2).
+head -c 2000 "$report" > /tmp/t5.truncated.json
+expect_exit 2 build/bench/lz_report /tmp/t5.truncated.json
 
 # v2 determinism: everything in the simulated sections runs on the
 # simulated clock (histogram percentiles, profile samples, hotspot tables
@@ -56,11 +54,16 @@ cmp "$v1_off" BENCH_table5_v1.json
 v2_a=/tmp/t5.v2.a.json
 v2_b=/tmp/t5.v2.b.json
 rm -f "$v2_a" "$v2_b"
-build/bench/table5_switch --json "$v2_a" --benchmark_filter=NONE >/dev/null
-LZ_TRACE_TIER=0 build/bench/table5_switch --json "$v2_b" \
-  --benchmark_filter=NONE >/dev/null
+build/bench/table5_switch --json "$v2_a" >/dev/null
+LZ_TRACE_TIER=0 build/bench/table5_switch --json "$v2_b" >/dev/null
 build/bench/lz_report "$v2_a" "$v2_b" \
   --require-cycles-equal --require-sim-identical >/dev/null
+# Tier-off golden gate: the entire PMU/profiler/histogram stack is
+# observe-only, and the interpreter-only run must reproduce every simulated
+# byte of the checked-in golden (the tier-on byte-compare is the ttbr_pan
+# backend leg below).
+build/bench/lz_report BENCH_table5_v2.json "$v2_b" \
+  --require-sim-identical >/dev/null
 
 # Regression gates via lz_report against the checked-in v2 baseline: the
 # simulated cycle total must match exactly (observe-only contract) and the
@@ -70,12 +73,13 @@ build/bench/lz_report BENCH_table5_v2.json "$v2_a" \
 
 # The shared flag parser rejects unknown flags loudly (exit 2), so a typo
 # can never silently run the wrong experiment — and --help documents the
-# shared set on exit 0.
-if build/bench/table5_switch --no-such-flag >/dev/null 2>&1; then
-  echo "ci.sh: unknown bench flag was not rejected" >&2
-  exit 1
-fi
+# shared set on exit 0. A workload flag the binary does not read is
+# rejected the same way (fig4 has no backend mode), and an artifact that
+# cannot be written fails the run (exit 1).
+expect_exit 2 build/bench/table5_switch --no-such-flag
+expect_exit 2 build/bench/fig4_mysql --backend poe
 build/bench/table5_switch --help | grep -q -- '--ts-period'
+expect_exit 1 build/bench/table1_comparison --json /nonexistent/dir/t1.json
 
 # Span tracing + time-series smoke: a 4-core httpd run with --trace must
 # emit nested per-request duration spans (client request -> kernel task ->
@@ -85,7 +89,7 @@ fig3_json=/tmp/fig3.obs.json
 fig3_trace=/tmp/fig3.obs.trace.json
 rm -f "$fig3_json" "$fig3_trace"
 build/bench/fig3_nginx --cores 4 --json "$fig3_json" --trace "$fig3_trace" \
-  --ts-period 200000 --benchmark_filter=NONE >/dev/null
+  --ts-period 200000 >/dev/null
 grep -q '"ph":"X"' "$fig3_trace"
 grep -q '"cat":"span"' "$fig3_trace"
 grep -q '"name":"request"' "$fig3_trace"
@@ -94,7 +98,7 @@ grep -q '"tenant":"httpd-worker' "$fig3_trace"
 grep -q '"timeseries":{' "$fig3_json"
 grep -q '"snapshots":\[{' "$fig3_json"
 grep -q '"spans":{' "$fig3_json"
-build/bench/report_check "$fig3_json"
+build/bench/lz_report "$fig3_json"
 
 # Trace tier on vs off across a real workload: fig3's httpd run registers
 # the sim.trace.* host counters with the tier on and none with it off, so
@@ -105,10 +109,8 @@ build/bench/report_check "$fig3_json"
 fig3_on=/tmp/fig3.obs.trace_on.json
 fig3_off=/tmp/fig3.obs.notrace.json
 rm -f "$fig3_on" "$fig3_off"
-build/bench/fig3_nginx --cores 4 --json "$fig3_on" \
-  --benchmark_filter=NONE >/dev/null
-LZ_TRACE_TIER=0 build/bench/fig3_nginx --cores 4 --json "$fig3_off" \
-  --benchmark_filter=NONE >/dev/null
+build/bench/fig3_nginx --cores 4 --json "$fig3_on" >/dev/null
+LZ_TRACE_TIER=0 build/bench/fig3_nginx --cores 4 --json "$fig3_off" >/dev/null
 grep -q '"host":{"sim.trace.' "$fig3_on"
 if grep -q '"host":' "$fig3_off"; then
   echo "ci.sh: tier-off run unexpectedly registered host counters" >&2
@@ -124,10 +126,8 @@ build/bench/lz_report "$fig3_on" "$fig3_off" \
 expo_a=/tmp/fig3.metrics.a.prom
 expo_b=/tmp/fig3.metrics.b.prom
 rm -f "$expo_a" "$expo_b"
-build/bench/fig3_nginx --cores 4 --metrics-out "$expo_a" \
-  --benchmark_filter=NONE >/dev/null
-build/bench/fig3_nginx --cores 4 --metrics-out "$expo_b" \
-  --benchmark_filter=NONE >/dev/null
+build/bench/fig3_nginx --cores 4 --metrics-out "$expo_a" >/dev/null
+build/bench/fig3_nginx --cores 4 --metrics-out "$expo_b" >/dev/null
 cmp "$expo_a" "$expo_b"
 grep -q '^httpd_rps{tenant="httpd-worker0",quantile="0.99"}' "$expo_a"
 grep -q '^httpd_requests{tenant="httpd-worker3"}' "$expo_a"
@@ -142,7 +142,7 @@ t5_metrics=/tmp/t5.metrics.json
 t5_expo=/tmp/t5.metrics.prom
 rm -f "$t5_metrics" "$t5_expo"
 build/bench/table5_switch --json "$t5_metrics" --metrics-out "$t5_expo" \
-  --benchmark_filter=NONE >/dev/null
+  >/dev/null
 test -s "$t5_expo"
 grep -q '^lz_tenant_gate_switch_cycles{tenant=' "$t5_expo"
 build/bench/lz_report "$v2_a" "$t5_metrics" \
@@ -183,11 +183,11 @@ test "$(wc -l < "$trend_hist")" -eq \
 smp_a=/tmp/t5.smp.a.json
 smp_b=/tmp/t5.smp.b.json
 rm -f "$smp_a" "$smp_b"
-build/bench/table5_switch --cores 4 --json "$smp_a" --benchmark_filter=NONE >/dev/null
-build/bench/table5_switch --cores 4 --json "$smp_b" --benchmark_filter=NONE >/dev/null
+build/bench/table5_switch --cores 4 --json "$smp_a" >/dev/null
+build/bench/table5_switch --cores 4 --json "$smp_b" >/dev/null
 cmp "$smp_a" "$smp_b"
 grep -q '"sim.core3.tlb.l1_hit"' "$smp_a"
-build/bench/report_check "$smp_a"
+build/bench/lz_report "$smp_a"
 
 # Differential fuzz gate (DESIGN.md section 10): >=10k seeded Table-2 ops
 # across 4 cores through live module + shadow model. The binary exits
@@ -213,9 +213,8 @@ build/bench/fuzz_a64 --seed 20260808 --cores 2 --streams 1500
 for backend in ttbr_pan poe cca watchpoint lwc; do
   bk=/tmp/t5.backend.$backend.json
   rm -f "$bk"
-  build/bench/table5_switch --backend "$backend" --json "$bk" \
-    --benchmark_filter=NONE >/dev/null
-  build/bench/report_check "$bk"
+  build/bench/table5_switch --backend "$backend" --json "$bk" >/dev/null
+  build/bench/lz_report "$bk"
   build/bench/fuzz_table2 --backend "$backend" --seed 7 --cores 2 --ops 800
 done
 cmp /tmp/t5.backend.ttbr_pan.json BENCH_table5_v2.json
@@ -224,7 +223,7 @@ grep -q '"backend.cca.cortex_host.128.gpt_walks"' /tmp/t5.backend.cca.json
 tp_poe=/tmp/throughput.backend.poe.json
 rm -f "$tp_poe"
 build/bench/throughput --backend poe --json "$tp_poe" >/dev/null
-build/bench/report_check "$tp_poe"
+build/bench/lz_report "$tp_poe"
 grep -q '"backend.poe.avg_cycles"' "$tp_poe"
 
 # Release (-O2) leg: the hot-path engine (L0 translation cache, decoded-page
@@ -235,13 +234,13 @@ grep -q '"backend.poe.avg_cycles"' "$tp_poe"
 # the best of three run-level medians (each already a median of three
 # in-process repeats); noise only ever pushes MIPS down.
 cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release --target throughput report_check
+cmake --build build-release --target throughput lz_report
 for i in 1 2 3; do
   tp=/tmp/throughput.$i.json
   rm -f "$tp"
   build-release/bench/throughput --sample-period 0 --json "$tp" >/dev/null
   grep -q '"schema":"lz.bench.report.v2"' "$tp"
-  build-release/bench/report_check "$tp"
+  build-release/bench/lz_report "$tp"
 done
 # lz_report takes the best of the three candidates against the checked-in
 # baseline: the simulated cycle totals must match exactly, the MIPS median

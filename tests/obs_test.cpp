@@ -278,7 +278,7 @@ TEST_F(ObsTest, ReportRoundTripsThroughItsOwnParser) {
   ASSERT_TRUE(doc.has_value());
   EXPECT_TRUE(Report::validate(*doc));
 
-  EXPECT_EQ(doc->find("schema")->as_string(), Report::kSchema);
+  EXPECT_EQ(doc->find("schema")->as_string(), "lz.bench.report.v2");
   EXPECT_EQ(doc->find("bench")->as_string(), "obs_test_bench");
   EXPECT_EQ(doc->find("results")->find("series.point")->as_double(), 123.5);
   EXPECT_EQ(doc->find("results")->find("series.count")->as_u64(), 77u);
@@ -297,6 +297,9 @@ TEST_F(ObsTest, ValidateRejectsWrongSchemaOrMissingSections) {
   EXPECT_TRUE(Report::validate(doc));
   doc.set("schema", Json::string("lz.bench.report.v0"));
   EXPECT_FALSE(Report::validate(doc));
+  // The v1 tag is rejected too: v2 is the only schema.
+  doc.set("schema", Json::string("lz.bench.report.v1"));
+  EXPECT_FALSE(Report::validate(doc));
   EXPECT_FALSE(Report::validate(Json::object()));
 }
 
@@ -307,7 +310,6 @@ TEST_F(ObsTest, V2ReportRoundTripsWithHistogramsAndProfile) {
   workload::lz_switch_avg_cycles(arch::Platform::cortex_a55(),
                                  workload::Placement::kHost, 2, 40);
   Report report("v2_style");
-  report.set_schema(obs::ReportSchema::kV2);
   report.add_result("r", u64{1});
   report.set_cycles_total(obs::cycle_ledger().total());
   report.add_counters(obs::registry().snapshot());
@@ -318,7 +320,7 @@ TEST_F(ObsTest, V2ReportRoundTripsWithHistogramsAndProfile) {
   const auto doc = Json::parse(report.to_string());
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(Report::validate(*doc));
-  EXPECT_EQ(doc->find("schema")->as_string(), Report::kSchemaV2);
+  EXPECT_EQ(doc->find("schema")->as_string(), Report::kSchema);
 
   // The workload's gate switches landed in the latency histogram with a
   // full percentile row.
