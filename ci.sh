@@ -65,6 +65,23 @@ build/bench/lz_report "$v2_a" "$v2_b" \
 build/bench/lz_report BENCH_table5_v2.json "$v2_b" \
   --require-sim-identical >/dev/null
 
+# Paper-figure goldens: each checked-in fig3/fig4/fig5 report was produced
+# by the listed command, and a fresh run must reproduce every simulated
+# byte of it (the "host" section is the one allowed difference).
+golden_leg() {
+  local golden=$1 out=/tmp/${1%.json}.new.json
+  shift
+  rm -f "$out"
+  "$@" --json "$out" >/dev/null
+  build/bench/lz_report "$golden" "$out" --require-sim-identical >/dev/null
+}
+golden_leg BENCH_fig3_v2.json build/bench/fig3_nginx
+golden_leg BENCH_fig3_cores4_v2.json build/bench/fig3_nginx --cores 4
+golden_leg BENCH_fig3_poe_v2.json build/bench/fig3_nginx --backend poe
+golden_leg BENCH_fig3_cca_v2.json build/bench/fig3_nginx --backend cca
+golden_leg BENCH_fig4_v2.json build/bench/fig4_mysql
+golden_leg BENCH_fig5_v2.json build/bench/fig5_nvm
+
 # Regression gates via lz_report against the checked-in v2 baseline: the
 # simulated cycle total must match exactly (observe-only contract) and the
 # gate-switch p99 may not regress more than 10%.

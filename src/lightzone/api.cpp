@@ -19,8 +19,7 @@ void LzProc::record_backend_switch(int gate, Cycles delta) {
       .record(delta);
 }
 
-Env::Env(const Options& opts)
-    : placement(opts.placement_), backend(opts.backend_) {
+Env::Env(const Options& opts) : placement(opts.placement_) {
 #ifdef LZ_CONF_CHECK
   // Arm the break-before-make write-protocol oracle (DESIGN.md §15) for
   // every scenario. It charges no simulated cycles and registers no obs

@@ -56,13 +56,6 @@ struct Env {
       mem_bytes_ = b;
       return *this;
     }
-    // Which IsolationBackend the scenario compares (--backend flag). The
-    // Env itself always loads the LightZone module; the backend selection
-    // is carried here so benches and the baseline factory agree on it.
-    Options& backend(BackendKind b) {
-      backend_ = b;
-      return *this;
-    }
 
    private:
     friend struct Env;
@@ -71,7 +64,6 @@ struct Env {
     u64 seed_ = 42;
     unsigned cores_ = 1;
     u64 mem_bytes_ = u64{4} << 30;
-    BackendKind backend_ = BackendKind::kTtbrPan;
   };
 
   explicit Env(const Options& opts);
@@ -102,7 +94,6 @@ struct Env {
   std::unique_ptr<hv::GuestVm> vm;  // only for Placement::kGuest
   std::unique_ptr<LzModule> module;
   Placement placement;
-  BackendKind backend;
 
  private:
   obs::Snapshot obs_baseline_;

@@ -320,7 +320,11 @@ Result<int> LzModule::alloc_pgt(LzContext& ctx) {
   if (id == ctx.pgts.size()) ctx.pgts.emplace_back();
 
   auto& slot = ctx.pgts[id];
-  const u16 asid = ctx.next_asid++;
+  // Slot i always runs under ASID (i + 1) mod 2^16 (the default table,
+  // slot 0, under ASID 1), so a reused slot keeps its ASID and no two live
+  // tables share one. That is safe because free_pgt's VMID-wide
+  // invalidation already purged every entry the dead table left behind.
+  const auto asid = static_cast<u16>(id + 1);
   slot.tbl = std::make_unique<mem::Stage1Table>(machine().mem(), asid,
                                                 ctx.table_frame_ops());
   // Tag the table with the stage-2 regime it runs under, so the BBM

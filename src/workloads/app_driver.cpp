@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "baselines/backends.h"
 #include "sim/assembler.h"
 
 namespace lz::workload {
@@ -72,6 +73,87 @@ Cycles measure_marginal_syscall(const AppConfig& config, bool lightzone) {
 
 }  // namespace
 
+std::optional<LzProc> enter_isolation(Mechanism mech, Env& env,
+                                      kernel::Process& proc) {
+  switch (mech) {
+    case Mechanism::kLzPan:
+      return LzProc::enter(*env.module, proc, /*allow_scalable=*/false,
+                           /*insn_san=*/2);
+    case Mechanism::kLzTtbr:
+      return LzProc::enter(*env.module, proc, /*allow_scalable=*/true,
+                           /*insn_san=*/1);
+    case Mechanism::kPoe:
+      return LzProc(baseline::make_backend(core::BackendKind::kPoe, env));
+    case Mechanism::kCca:
+      return LzProc(baseline::make_backend(core::BackendKind::kCca, env));
+    default:
+      return std::nullopt;
+  }
+}
+
+void setup_process_domains(Env& env, kernel::Process& proc, Mechanism mech,
+                           LzProc* lz, VirtAddr base, u64 slot, int count) {
+  auto& core = env.machine->core();
+  const auto slot_va = [&](int d) { return base + static_cast<u64>(d) * slot; };
+  if (mech == Mechanism::kLzPan) {
+    for (int d = 0; d < count; ++d) {
+      LZ_CHECK_OK(lz->lz_prot(slot_va(d), slot, core::kPgtAll,
+                              core::kLzRead | core::kLzWrite | core::kLzUser));
+      LZ_CHECK_OK(lz->backend().touch(slot_va(d), true, false));
+    }
+  } else if (lz != nullptr) {
+    const VirtAddr entry = Env::kCodeVa + 0x40;
+    LZ_CHECK(count + 1 <= static_cast<int>(lz->backend().max_gates()));
+    LZ_CHECK_OK(lz->lz_map_gate_pgt(0, 0));
+    LZ_CHECK_OK(lz->lz_set_gate_entry(0, entry));
+    for (int d = 0; d < count; ++d) {
+      const int pgt = lz->lz_alloc().value();
+      LZ_CHECK(pgt >= 1);
+      LZ_CHECK_OK(
+          lz->lz_prot(slot_va(d), slot, pgt, core::kLzRead | core::kLzWrite));
+      LZ_CHECK_OK(lz->lz_map_gate_pgt(pgt, d + 1));
+      LZ_CHECK_OK(lz->lz_set_gate_entry(d + 1, entry));
+      LZ_CHECK_OK(lz->backend().touch(slot_va(d), true, false));
+    }
+  }
+
+  if (mech == Mechanism::kLzPan || mech == Mechanism::kLzTtbr) {
+    auto& ctx = lz->ctx();
+    lz->enter_world();
+    core.pstate().el = ExceptionLevel::kEl1;
+    if (mech == Mechanism::kLzPan) core.pstate().pan = true;
+    core.set_sysreg(sim::SysReg::kTtbr0El1, lz->module().domain_ttbr(ctx, 0));
+    core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
+    core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
+    return;
+  }
+  // The slots live inside the process's heap VMA: back them with frames
+  // and put the core into this process's EL0 context so the workload's
+  // data accesses translate through its page table.
+  auto& k = env.kern();
+  for (int d = 0; d < count; ++d) {
+    for (u64 off = 0; off < slot; off += kPageSize) {
+      LZ_CHECK_OK(k.populate_page(proc, slot_va(d) + off,
+                                  kernel::kProtRead | kernel::kProtWrite));
+    }
+  }
+  k.load_ctx(proc, core);
+  core.pstate().el = ExceptionLevel::kEl0;
+}
+
+Cycles lz_enter_domain(LzProc& lz, Mechanism mech, int domain) {
+  return mech == Mechanism::kLzPan
+             ? lz.set_pan(false)
+             : lz.lz_switch_to_ttbr_gate(domain + 1).value();
+}
+
+Cycles lz_exit_domain(LzProc& lz, Mechanism mech) {
+  // Back in the default domain (PAN set, or gate 0: the default table,
+  // POR reset, GPT base back to the shared view) access is revoked.
+  return mech == Mechanism::kLzPan ? lz.set_pan(true)
+                                   : lz.lz_switch_to_ttbr_gate(0).value();
+}
+
 AppDriver::AppDriver(const AppConfig& config) : config_(config) {
   env_ = std::make_unique<Env>(Env::Options()
                                    .platform(*config.platform)
@@ -82,155 +164,41 @@ AppDriver::AppDriver(const AppConfig& config) : config_(config) {
                                    .seed(config.seed));
   proc_ = &env_->new_process();
   syscall_cost_ = measure_marginal_syscall(config, is_lz());
-
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      break;
-    case Mechanism::kLzPan:
-      lz_.emplace(LzProc::enter(*env_->module, *proc_,
-                                /*allow_scalable=*/false, /*insn_san=*/2));
-      break;
-    case Mechanism::kLzTtbr:
-      lz_.emplace(LzProc::enter(*env_->module, *proc_,
-                                /*allow_scalable=*/true, /*insn_san=*/1));
-      break;
-    case Mechanism::kWatchpoint:
-      wp_ = std::make_unique<baseline::WatchpointIsolation>(
-          *env_->host, env_->vm.get());
-      break;
-    case Mechanism::kLwc:
-      lwc_ = std::make_unique<baseline::LwcIsolation>(*env_->host,
-                                                      env_->vm.get());
-      break;
-    case Mechanism::kPoe:
-    case Mechanism::kCca:
-      // Deferred to setup_domains: the backend's gate table is sized to
-      // the domain count the workload asks for.
-      break;
+  lz_ = enter_isolation(config_.mech, *env_, *proc_);
+  if (config_.mech == Mechanism::kWatchpoint) {
+    wp_ = std::make_unique<baseline::WatchpointIsolation>(*env_->host,
+                                                          env_->vm.get());
+  } else if (config_.mech == Mechanism::kLwc) {
+    lwc_ = std::make_unique<baseline::LwcIsolation>(*env_->host,
+                                                    env_->vm.get());
   }
 }
 
 AppDriver::~AppDriver() {
-  if (lz_ && lz_->module().active() == &lz_->ctx()) lz_->exit_world();
+  if (is_lz() && lz_->module().active() == &lz_->ctx()) lz_->exit_world();
 }
 
 void AppDriver::setup_domains(VirtAddr base, u64 slot, int count) {
-  base_ = base;
-  slot_ = slot;
   domains_ = count;
-  auto& core = machine().core();
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      populate_and_enter_el0();
-      return;
-    case Mechanism::kLzPan: {
-      // All slots live in the single PAN-protected domain (user pages).
-      for (int d = 0; d < count; ++d) {
-        const VirtAddr va = base + static_cast<u64>(d) * slot;
-        LZ_CHECK_OK(lz_->module().prot(
-            lz_->ctx(), va, slot, core::kPgtAll,
-            core::kLzRead | core::kLzWrite | core::kLzUser));
-        LZ_CHECK_OK(lz_->module().touch_page(lz_->ctx(), va, true, false));
-      }
-      lz_->enter_world();
-      core.pstate().el = ExceptionLevel::kEl1;
-      core.pstate().pan = true;
-      core.set_sysreg(sim::SysReg::kTtbr0El1,
-                      lz_->module().domain_ttbr(lz_->ctx(), 0));
-      core.set_sysreg(sim::SysReg::kTtbr1El1, lz_->ctx().ctx.ttbr1);
-      core.set_sysreg(sim::SysReg::kVbarEl1, lz_->ctx().ctx.vbar);
-      return;
-    }
-    case Mechanism::kLzTtbr: {
-      auto& module = lz_->module();
-      auto& ctx = lz_->ctx();
-      const VirtAddr entry = Env::kCodeVa + 0x40;
-      LZ_CHECK(count + 1 <= static_cast<int>(ctx.opts().max_gates));
-      // Gate 0 returns to the default (no-domain) table pgt0; domain d
-      // lives in its own table behind gate d+1.
-      LZ_CHECK_OK(module.map_gate_pgt(ctx, 0, 0));
-      LZ_CHECK_OK(module.set_gate_entry(ctx, 0, entry));
-      for (int d = 0; d < count; ++d) {
-        const VirtAddr va = base + static_cast<u64>(d) * slot;
-        const int pgt = module.alloc_pgt(ctx).value();
-        LZ_CHECK(pgt >= 1);
-        LZ_CHECK_OK(module.prot(ctx, va, slot, pgt,
-                                core::kLzRead | core::kLzWrite));
-        LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, d + 1));
-        LZ_CHECK_OK(module.set_gate_entry(ctx, d + 1, entry));
-        LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-      }
-      lz_->enter_world();
-      core.pstate().el = ExceptionLevel::kEl1;
-      core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-      core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-      core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-      // Warm the gates and domain pages.
-      for (int d = 0; d < count; ++d) {
-        enter_domain(d);
-        (void)core.mem_read(base + static_cast<u64>(d) * slot, 8);
-      }
-      return;
-    }
-    case Mechanism::kWatchpoint: {
-      // Only the first 16 slots can be protected (the baseline's cap).
-      const int protected_count =
-          std::min(count, baseline::WatchpointIsolation::kMaxDomains);
-      populate_and_enter_el0();
-      LZ_CHECK_OK(wp_->setup_arena(base, slot, protected_count));
-      return;
-    }
-    case Mechanism::kLwc: {
-      for (int d = 0; d < count; ++d) {
-        const int id = lwc_->create_context();
-        LZ_CHECK_OK(
-            lwc_->attach(id, base + static_cast<u64>(d) * slot, slot));
-      }
-      populate_and_enter_el0();
-      return;
-    }
-    case Mechanism::kPoe:
-    case Mechanism::kCca: {
-      backend_ = baseline::make_backend(
-          config_.mech == Mechanism::kPoe ? core::BackendKind::kPoe
-                                          : core::BackendKind::kCca,
-          *env_, static_cast<u32>(std::max(count + 1, 256)));
-      backend_->add_vma(base, base + static_cast<u64>(count) * slot,
-                        /*write=*/true, /*exec=*/false);
-      // Gate 0 returns to the default domain; domain d sits behind gate
-      // d+1, mirroring the TTBR layout so switch patterns compare 1:1.
-      LZ_CHECK_OK(backend_->map_gate_pgt(0, 0));
-      LZ_CHECK_OK(backend_->set_gate_entry(0, Env::kCodeVa + 0x40));
-      for (int d = 0; d < count; ++d) {
-        const VirtAddr va = base + static_cast<u64>(d) * slot;
-        const int pgt = backend_->alloc().value();
-        LZ_CHECK(pgt >= 1);
-        LZ_CHECK_OK(backend_->prot(va, slot, pgt,
-                                   core::kLzRead | core::kLzWrite));
-        LZ_CHECK_OK(backend_->map_gate_pgt(pgt, d + 1));
-        LZ_CHECK_OK(backend_->set_gate_entry(d + 1, Env::kCodeVa + 0x40));
-        LZ_CHECK_OK(backend_->touch(va, /*want_write=*/true,
-                                    /*want_exec=*/false));
-      }
-      populate_and_enter_el0();
-      return;
+  if (lwc_) {
+    for (int d = 0; d < count; ++d) {
+      const int id = lwc_->create_context();
+      LZ_CHECK_OK(lwc_->attach(id, base + static_cast<u64>(d) * slot, slot));
     }
   }
-}
-
-void AppDriver::populate_and_enter_el0() {
-  // The domain slots live inside the process's heap VMA: back them with
-  // frames and put the core into this process's EL0 context so the
-  // workload's data accesses translate through its page table.
-  auto& k = env_->kern();
-  for (int d = 0; d < domains_; ++d) {
-    for (u64 off = 0; off < slot_; off += kPageSize) {
-      LZ_CHECK_OK(k.populate_page(*proc_, base_ + static_cast<u64>(d) * slot_ + off,
-                                  kernel::kProtRead | kernel::kProtWrite));
+  setup_process_domains(*env_, *proc_, config_.mech, lz_ ? &*lz_ : nullptr,
+                        base, slot, count);
+  if (wp_) {
+    // Only the first 16 slots can be protected (the baseline's cap).
+    LZ_CHECK_OK(wp_->setup_arena(base, slot, protected_domains()));
+  }
+  if (config_.mech == Mechanism::kLzTtbr) {
+    // Warm the gates and domain pages.
+    for (int d = 0; d < count; ++d) {
+      enter_domain(d);
+      (void)machine().core().mem_read(base + static_cast<u64>(d) * slot, 8);
     }
   }
-  k.load_ctx(*proc_, machine().core());
-  machine().core().pstate().el = ExceptionLevel::kEl0;
 }
 
 int AppDriver::protected_domains() const {
@@ -242,46 +210,19 @@ int AppDriver::protected_domains() const {
 }
 
 Cycles AppDriver::enter_domain(int domain) {
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      return 0;
-    case Mechanism::kLzPan:
-      return lz_->set_pan(false);
-    case Mechanism::kLzTtbr:
-      return lz_->lz_switch_to_ttbr_gate(domain + 1).value();
-    case Mechanism::kWatchpoint:
-      // Only 16 hardware-watchable domains exist; higher-numbered logical
-      // domains share them (the baseline's scalability failure, Table 1).
-      return wp_->switch_to(domain % protected_domains());
-    case Mechanism::kLwc:
-      return lwc_->switch_to(domain);
-    case Mechanism::kPoe:
-    case Mechanism::kCca:
-      return backend_->switch_to(domain + 1).value();
-  }
+  if (lz_) return lz_enter_domain(*lz_, config_.mech, domain);
+  // Only 16 hardware-watchable domains exist; higher-numbered logical
+  // domains share them (the baseline's scalability failure, Table 1).
+  if (wp_) return wp_->switch_to(domain % protected_domains());
+  if (lwc_) return lwc_->switch_to(domain);
   return 0;
 }
 
 Cycles AppDriver::exit_domain(int domain) {
   (void)domain;
-  switch (config_.mech) {
-    case Mechanism::kNone:
-      return 0;
-    case Mechanism::kLzPan:
-      return lz_->set_pan(true);
-    case Mechanism::kLzTtbr:
-      // Returning to the default table revokes access.
-      return lz_->lz_switch_to_ttbr_gate(0).value();
-    case Mechanism::kWatchpoint:
-      return wp_->exit_domains();
-    case Mechanism::kLwc:
-      return lwc_->switch_to(0);
-    case Mechanism::kPoe:
-    case Mechanism::kCca:
-      // Returning to the default domain revokes access (POR reset / GPT
-      // base back to the shared view).
-      return backend_->switch_to(0).value();
-  }
+  if (lz_) return lz_exit_domain(*lz_, config_.mech);
+  if (wp_) return wp_->exit_domains();
+  if (lwc_) return lwc_->switch_to(0);
   return 0;
 }
 
@@ -345,8 +286,7 @@ Cycles AppDriver::tlb_miss_cost(bool huge_pages) const {
 }
 
 u64 AppDriver::isolation_table_pages() const {
-  if (lz_) return lz_->ctx().isolation_table_pages();
-  return 0;
+  return is_lz() ? lz_->ctx().isolation_table_pages() : 0;
 }
 
 }  // namespace lz::workload

@@ -10,7 +10,6 @@
 #include <memory>
 #include <optional>
 
-#include "baselines/backends.h"
 #include "baselines/lwc.h"
 #include "baselines/watchpoint.h"
 #include "lightzone/api.h"
@@ -51,16 +50,18 @@ class AppDriver {
 
   // --- Domains ----------------------------------------------------------------
   // Create `count` isolation domains over page-aligned slots starting at
-  // `base`, each `slot` bytes. For PAN they share the single protected
-  // domain; for TTBR each gets a page table + call gate; Watchpoint caps
-  // at 16 (extra domains stay unprotected — its scalability failure).
+  // `base`, each `slot` bytes (setup_process_domains below). For PAN they
+  // share the single protected domain; for TTBR/POE/CCA each gets a
+  // domain + call gate; Watchpoint caps at 16 (extra domains stay
+  // unprotected — its scalability failure).
   void setup_domains(VirtAddr base, u64 slot, int count);
   int domains() const { return domains_; }
   // Number of domains the mechanism actually protects.
   int protected_domains() const;
 
   // One-way switch granting access to `domain` (the real gate / PAN toggle
-  // / ioctl path). Returns cycles consumed.
+  // / ioctl path; lz_enter_domain below for every LzProc mechanism).
+  // Returns cycles consumed.
   Cycles enter_domain(int domain);
   Cycles exit_domain(int domain);
 
@@ -98,10 +99,10 @@ class AppDriver {
 
   core::Env& env() { return *env_; }
   kernel::Process& proc() { return *proc_; }
-  core::LzProc* lz() { return lz_ ? &*lz_ : nullptr; }
+  // The LightZone (PAN/TTBR) process, or null for every other mechanism.
+  core::LzProc* lz() { return is_lz() ? &*lz_ : nullptr; }
 
  private:
-  void populate_and_enter_el0();
   bool is_lz() const {
     return config_.mech == Mechanism::kLzPan ||
            config_.mech == Mechanism::kLzTtbr;
@@ -109,17 +110,41 @@ class AppDriver {
 
   AppConfig config_;
   std::unique_ptr<core::Env> env_;
+  // PAN, TTBR, POE and CCA (enter_isolation); the module()/ctx() surface
+  // exists only for PAN/TTBR.
   std::optional<core::LzProc> lz_;
   std::unique_ptr<baseline::WatchpointIsolation> wp_;
   std::unique_ptr<baseline::LwcIsolation> lwc_;
-  // Cost-model backend for kPoe / kCca (created in setup_domains, which
-  // knows the gate count the arena needs).
-  std::shared_ptr<baseline::ModelBackend> backend_;
   kernel::Process* proc_ = nullptr;
-  VirtAddr base_ = 0;
-  u64 slot_ = 0;
   int domains_ = 0;
   Cycles syscall_cost_ = 0;
 };
+
+// --- One process's domains ------------------------------------------------------
+// Shared by AppDriver and the multi-worker httpd (one call per worker).
+
+// The LzProc `proc` speaks under `mech`: lz_enter into the real module for
+// PAN/TTBR, the cost-model backend for POE/CCA. nullopt for vanilla and for
+// Watchpoint/lwC, whose Fig. 3-5 models are not the Table-2 contract
+// (DESIGN.md §14).
+std::optional<core::LzProc> enter_isolation(Mechanism mech, core::Env& env,
+                                            kernel::Process& proc);
+
+// Builds `count` domains over the page-aligned slots base + d * slot of
+// `proc` and puts the calling thread's core into the process:
+//   no LzProc — back the slots with frames and enter EL0;
+//   PAN       — every slot joins the single PAN domain (user pages);
+//   TTBR/POE/CCA — the Table-2 gate build: gate 0 returns to the default
+//               domain, domain d sits behind gate d + 1;
+// then PAN/TTBR enter the LightZone world at EL1 on the default table and
+// POE/CCA run the process at EL0 like vanilla.
+void setup_process_domains(core::Env& env, kernel::Process& proc,
+                           Mechanism mech, core::LzProc* lz, VirtAddr base,
+                           u64 slot, int count);
+
+// The domain switch of every LzProc mechanism: PAN off / on, or gate
+// d + 1 in and gate 0 (the default domain) out. Returns cycles consumed.
+Cycles lz_enter_domain(core::LzProc& lz, Mechanism mech, int domain);
+Cycles lz_exit_domain(core::LzProc& lz, Mechanism mech);
 
 }  // namespace lz::workload

@@ -179,7 +179,6 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
               .seed(config.seed));
   auto& machine = *env.machine;
   const VirtAddr key_arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
 
   // Deterministic setup, sequential on the main thread: one worker process
   // per core with its own key arena, domains and (for TTBR) call gates.
@@ -187,70 +186,12 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
   std::vector<std::optional<LzProc>> lzs(cores);
   for (unsigned w = 0; w < cores; ++w) {
     sim::Machine::CoreBinding bind(machine, w);
-    auto& core = machine.core(w);
     auto& proc = env.new_process();
     procs[w] = &proc;
-
-    switch (config.mech) {
-      case Mechanism::kNone:
-        for (int k = 0; k < params.concurrent_keys; ++k) {
-          LZ_CHECK_OK(env.kern().populate_page(
-              proc, key_arena + static_cast<u64>(k) * kPageSize,
-              kernel::kProtRead | kernel::kProtWrite));
-        }
-        env.kern().load_ctx(proc, core);
-        core.pstate().el = arch::ExceptionLevel::kEl0;
-        break;
-      case Mechanism::kLzPan: {
-        lzs[w].emplace(LzProc::enter(*env.module, proc,
-                                     /*allow_scalable=*/false,
-                                     /*insn_san=*/2));
-        auto& lz = *lzs[w];
-        auto& module = lz.module();
-        auto& ctx = lz.ctx();
-        for (int k = 0; k < params.concurrent_keys; ++k) {
-          const VirtAddr va = key_arena + static_cast<u64>(k) * kPageSize;
-          LZ_CHECK_OK(module.prot(ctx, va, kPageSize, core::kPgtAll,
-                                  core::kLzRead | core::kLzWrite |
-                                      core::kLzUser));
-          LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-        }
-        lz.enter_world();
-        core.pstate().el = arch::ExceptionLevel::kEl1;
-        core.pstate().pan = true;
-        core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-        core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-        core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-        break;
-      }
-      case Mechanism::kLzTtbr: {
-        lzs[w].emplace(LzProc::enter(*env.module, proc,
-                                     /*allow_scalable=*/true,
-                                     /*insn_san=*/1));
-        auto& lz = *lzs[w];
-        auto& module = lz.module();
-        auto& ctx = lz.ctx();
-        LZ_CHECK_OK(module.map_gate_pgt(ctx, 0, 0));
-        LZ_CHECK_OK(module.set_gate_entry(ctx, 0, entry));
-        for (int k = 0; k < params.concurrent_keys; ++k) {
-          const VirtAddr va = key_arena + static_cast<u64>(k) * kPageSize;
-          const int pgt = module.alloc_pgt(ctx).value();
-          LZ_CHECK_OK(module.prot(ctx, va, kPageSize, pgt,
-                                  core::kLzRead | core::kLzWrite));
-          LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, k + 1));
-          LZ_CHECK_OK(module.set_gate_entry(ctx, k + 1, entry));
-          LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-        }
-        lz.enter_world();
-        core.pstate().el = arch::ExceptionLevel::kEl1;
-        core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-        core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-        core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-        break;
-      }
-      default:
-        break;
-    }
+    lzs[w] = enter_isolation(config.mech, env, proc);
+    setup_process_domains(env, proc, config.mech,
+                          lzs[w] ? &*lzs[w] : nullptr, key_arena, kPageSize,
+                          params.concurrent_keys);
 
     // Tenant label for span/profile attribution of this worker's domain.
     obs::set_domain_label(lzs[w] ? lzs[w]->ctx().vmid : 0, proc.asid(),
@@ -283,18 +224,10 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
       double checksum = 0;
 
       const auto enter_dom = [&](int key_id) {
-        if (config.mech == Mechanism::kLzPan) {
-          lzs[w]->set_pan(false);
-        } else if (config.mech == Mechanism::kLzTtbr) {
-          LZ_CHECK(lzs[w]->lz_switch_to_ttbr_gate(key_id + 1).is_ok());
-        }
+        if (lzs[w]) lz_enter_domain(*lzs[w], config.mech, key_id);
       };
       const auto exit_dom = [&] {
-        if (config.mech == Mechanism::kLzPan) {
-          lzs[w]->set_pan(true);
-        } else if (config.mech == Mechanism::kLzTtbr) {
-          LZ_CHECK(lzs[w]->lz_switch_to_ttbr_gate(0).is_ok());
-        }
+        if (lzs[w]) lz_exit_domain(*lzs[w], config.mech);
       };
 
       const u16 span_vmid = lzs[w] ? lzs[w]->ctx().vmid : 0;

@@ -445,8 +445,7 @@ BackendSwitchResult backend_switch_avg_cycles(core::BackendKind kind,
               .platform(platform)
               .placement(placement == Placement::kHost
                              ? Env::Placement::kHost
-                             : Env::Placement::kGuest)
-              .backend(kind));
+                             : Env::Placement::kGuest));
   auto be = baseline::make_backend(kind, env);
   LZ_CHECK(domains >= 1 && domains <= be->max_domains());
 

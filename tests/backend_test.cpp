@@ -76,7 +76,7 @@ TEST(TtbrPanBackendTest, ReproducesPreRefactorTable5Exactly) {
 // the exact same Status vocabulary for the same invalid inputs.
 TEST(BackendParityTest, ErrorStatusesMatchAcrossBackends) {
   for (const BackendKind kind : kAllKinds) {
-    Env env(Env::Options().backend(kind));
+    Env env;
     core::LzProc lz = make_backend_proc(kind, env);
     SCOPED_TRACE(core::to_string(kind));
     // The live module's switch path asserts an active world; the model
@@ -107,7 +107,7 @@ TEST(BackendParityTest, ErrorStatusesMatchAcrossBackends) {
 
 TEST(BackendParityTest, AllocIdsMatchAcrossBackends) {
   for (const BackendKind kind : kAllKinds) {
-    Env env(Env::Options().backend(kind));
+    Env env;
     core::LzProc lz = make_backend_proc(kind, env);
     SCOPED_TRACE(core::to_string(kind));
     // pgt 0 is the default domain made at enter; allocations count up.
@@ -120,7 +120,7 @@ TEST(BackendParityTest, AllocIdsMatchAcrossBackends) {
 }
 
 TEST(WatchpointBackendTest, CapsAtSixteenDomains) {
-  Env env(Env::Options().backend(BackendKind::kWatchpoint));
+  Env env;
   auto be = make_backend(BackendKind::kWatchpoint, env);
   // Slots 1..15 on top of the default domain, then the pairs run out.
   for (int i = 1; i < 16; ++i) EXPECT_EQ(be->alloc().value(), i);
@@ -160,7 +160,7 @@ TEST(PoeBackendTest, SwitchIsCheaperThanKernelRoundtrip) {
 }
 
 TEST(CcaBackendTest, ChargesGptWalkOncePerDelegationEpoch) {
-  Env env(Env::Options().backend(BackendKind::kCca));
+  Env env;
   auto be = make_backend(BackendKind::kCca, env);
   const int pgt = be->alloc().value();
   ASSERT_TRUE(

@@ -426,6 +426,44 @@ TEST_F(LightZoneTest, MaxDomainsIsLarge) {
   EXPECT_EQ(lz.lz_alloc().value(), 150);  // slot reuse
 }
 
+// A reused table slot keeps its ASID. With a fresh ASID per lz_alloc, the
+// 65,536th allocation after lz_enter wrapped around to the default table's
+// ASID 1, and the default domain then read the domain's page through the
+// TLB entry the domain had left behind.
+TEST_F(LightZoneTest, SlotReuseNeverAliasesTheDefaultTableAsid) {
+  auto& proc = env.new_process();
+  const VirtAddr va = Env::kHeapVa;
+  const VirtAddr entry = Env::kCodeVa + 0x40;
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  ASSERT_TRUE(lz.lz_map_gate_pgt(0, 0).is_ok());
+  ASSERT_TRUE(lz.lz_set_gate_entry(0, entry).is_ok());
+  for (int i = 1; i < (1 << 16); ++i) {
+    ASSERT_EQ(lz.lz_alloc().value(), 1);
+    ASSERT_TRUE(lz.lz_free(1).is_ok());
+  }
+  const int pgt = lz.lz_alloc().value();  // allocation #65,536
+  ASSERT_EQ(pgt, 1);
+  EXPECT_NE(lz.ctx().pgts[1].tbl->asid(), lz.ctx().pgts[0].tbl->asid());
+  ASSERT_TRUE(lz.lz_prot(va, kPageSize, pgt, kLzRead | kLzWrite).is_ok());
+  ASSERT_TRUE(lz.lz_map_gate_pgt(pgt, 1).is_ok());
+  ASSERT_TRUE(lz.lz_set_gate_entry(1, entry).is_ok());
+  ASSERT_TRUE(lz.module().touch_page(lz.ctx(), va, false, false).is_ok());
+
+  lz.enter_world();
+  auto& core = env.machine->core();
+  core.pstate().el = arch::ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
+  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
+  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
+  // Inside the domain the page reads (and its translation is cached) ...
+  ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(1).is_ok());
+  ASSERT_TRUE(core.mem_read(va, 8).ok);
+  // ... and back in the default domain it must fault again.
+  ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(0).is_ok());
+  EXPECT_FALSE(core.translate(va, sim::AccessType::kRead, false).ok);
+  lz.exit_world();
+}
+
 TEST_F(LightZoneTest, GuestPlacementRunsNestedProcesses) {
   Env genv(Env::Options().platform(arch::Platform::cortex_a55()).placement(Env::Placement::kGuest));
   auto& proc = genv.new_process();

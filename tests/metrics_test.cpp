@@ -217,6 +217,26 @@ TEST_F(MetricsTest, EnabledPlaneChangesNoSimulatedCycles) {
   EXPECT_EQ(series[0].inst->value(), 50u);
 }
 
+// POE runs its domain switches through the same LzProc verb as TTBR, so an
+// armed plane sees them in the backend-labeled switch family.
+TEST_F(MetricsTest, AppDriverPoeRecordsBackendSwitchCycles) {
+  HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
+  params.requests = 10;
+  const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
+                         Mechanism::kPoe, 42};
+  obs::metrics().enable();
+  (void)workload::run_httpd(config, params);
+  u64 poe_switches = 0;
+  for (const auto& s :
+       obs::metrics().histogram_family("lz.backend.switch_cycles").series()) {
+    if (s.labels.render().find("backend=\"poe\"") != std::string::npos) {
+      poe_switches += s.inst->count();
+    }
+  }
+  // 37 gated crypto calls per request, each a switch in and a switch out.
+  EXPECT_EQ(poe_switches, 10u * 37 * 2);
+}
+
 TEST_F(MetricsTest, DisabledPlaneRecordsNothing) {
   // Registrations survive reset_all() (handles are stable for the process
   // lifetime), so gauge the disabled run by growth and value movement.

@@ -161,6 +161,66 @@ TEST(HttpdTest, PageTableMemoryOverheadScalesWithDomains) {
   EXPECT_GT(ttbr.isolation_table_pages, 3 * pan.isolation_table_pages);
 }
 
+// --- POE / CCA through AppDriver ------------------------------------------------
+
+// The cost-model backends build their domains and switch through the same
+// LzProc path as LightZone-TTBR: every app model completes under them
+// (its LZ_CHECKs included), pays more than vanilla, and is deterministic.
+class BackendApps : public ::testing::TestWithParam<Mechanism> {
+ protected:
+  AppConfig config() const {
+    return cfg(arch::Platform::cortex_a55(), Placement::kHost, GetParam());
+  }
+};
+
+TEST_P(BackendApps, HttpdCostsMoreThanVanillaAndRepeats) {
+  HttpdParams p = HttpdParams::defaults(arch::Platform::cortex_a55());
+  p.requests = 100;
+  EXPECT_GT(httpd_loss(arch::Platform::cortex_a55(), Placement::kHost,
+                       GetParam(), p),
+            0);
+  const auto a = run_httpd(config(), p);
+  const auto b = run_httpd(config(), p);
+  EXPECT_EQ(a.cycles_per_request, b.cycles_per_request);
+  EXPECT_EQ(a.response_checksum, b.response_checksum);
+}
+
+TEST_P(BackendApps, DbmsCostsMoreThanVanillaAndRepeats) {
+  DbmsParams p = DbmsParams::defaults(arch::Platform::cortex_a55());
+  p.transactions = 50;
+  const auto base = run_dbms(
+      cfg(arch::Platform::cortex_a55(), Placement::kHost, Mechanism::kNone),
+      p);
+  const auto a = run_dbms(config(), p);
+  const auto b = run_dbms(config(), p);
+  EXPECT_GT(a.cpu_cycles_per_txn, base.cpu_cycles_per_txn);
+  EXPECT_EQ(a.rows_checksum, base.rows_checksum);
+  EXPECT_EQ(a.cpu_cycles_per_txn, b.cpu_cycles_per_txn);
+  EXPECT_EQ(a.rows_checksum, b.rows_checksum);
+}
+
+TEST_P(BackendApps, NvmCostsMoreThanVanillaAndRepeats) {
+  NvmParams p;
+  p.searches = 1000;
+  p.buffers = 8;
+  const auto base = run_nvm(
+      cfg(arch::Platform::cortex_a55(), Placement::kHost, Mechanism::kNone),
+      p);
+  const auto a = run_nvm(config(), p);
+  const auto b = run_nvm(config(), p);
+  EXPECT_GT(nvm_overhead_pct(a, base), 0);
+  EXPECT_EQ(a.matches, 1000u);
+  EXPECT_EQ(a.cycles_per_search, b.cycles_per_search);
+  EXPECT_EQ(a.matches, b.matches);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoeCca, BackendApps,
+    ::testing::Values(Mechanism::kPoe, Mechanism::kCca),
+    [](const ::testing::TestParamInfo<Mechanism>& info) {
+      return info.param == Mechanism::kPoe ? "Poe" : "Cca";
+    });
+
 // --- Fig. 4 shapes --------------------------------------------------------------
 
 // Throughput loss at the CPU-bound plateau (tps is 1/cpu there).
