@@ -23,11 +23,11 @@
 //                           (pure interpreter; A/B baseline for the tier's
 //                           speedup — simulated results are identical by
 //                           contract, only host MIPS move)
-//   --metrics-out <path>    arm the labeled metrics plane and write the
-//                           Prometheus-style text exposition snapshot at
-//                           finish(); with --ts-period the exposition pump
-//                           also rewrites the file at every sample so a
-//                           running bench can be scraped live
+//   --metrics-out <path>    register the labeled (per-tenant) series and
+//                           write the Prometheus-style text exposition at
+//                           finish(); with --ts-period every time-series
+//                           sample also rewrites the file, so a running
+//                           bench can be scraped live
 //   --self-profile          arm host-side self-profiling (`host.self.*`
 //                           TSC tick attribution per engine tier) and
 //                           include it in the exposition — wall-clock, so
@@ -47,10 +47,11 @@
 // Anything else — an unknown flag, a workload flag the binary does not
 // read, a positional argument — is an error: the binary prints the
 // offender to stderr and exits 2, so a typo can never silently run the
-// wrong experiment. Both the --help text and the unknown-flag message come
-// from one place here, so they cannot drift between binaries. A bench
-// whose --json/--trace/--profile/--metrics-out artifact cannot be written
-// exits 1.
+// wrong experiment. So does a numeric value that is not entirely a
+// non-negative decimal integer in range (`5x`, `-1`, `abc`). Both the
+// --help text and the unknown-flag message come from one place here, so
+// they cannot drift between binaries. A bench whose
+// --json/--trace/--profile/--metrics-out artifact cannot be written exits 1.
 //
 // The benches are deterministic, so two runs of the same binary produce
 // byte-identical simulation sections. Host-timed headline numbers (MIPS)
@@ -59,6 +60,7 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,10 +73,9 @@
 #include "obs/counters.h"
 #include "obs/expose.h"
 #include "obs/flight.h"
-#include "obs/histogram.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
+#include "obs/selfprof.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -105,7 +106,7 @@ struct ObsOptions {
   // --backend B: which IsolationBackend the bench evaluates.
   core::BackendKind backend = core::BackendKind::kTtbrPan;
   bool no_trace_tier = false;  // --no-trace-tier: interpreter-only A/B leg
-  // --metrics-out F: arm the metrics plane, write the exposition to F.
+  // --metrics-out F: register labeled series, write the exposition to F.
   std::string metrics_path;
   bool self_profile = false;  // --self-profile: host.self.* tick brackets
 };
@@ -126,8 +127,9 @@ inline void print_bench_usage(const char* argv0, unsigned accepted,
       "  --ts-period <N>        time-series sampling period, simulated "
       "cycles (0 = off)\n"
       "  --no-trace-tier        interpreter only (A/B: tier speedup)\n"
-      "  --metrics-out <path>   arm the metrics plane; write Prometheus-style\n"
-      "                         exposition (live-updated under --ts-period)\n"
+      "  --metrics-out <path>   per-tenant series; write Prometheus-style\n"
+      "                         exposition (rewritten at every --ts-period\n"
+      "                         sample, so a running bench can be scraped)\n"
       "  --self-profile         host.self.* wall-clock tier attribution\n",
       argv0, static_cast<unsigned long long>(obs::Profiler::kDefaultPeriod));
   if (accepted & kCoresFlag) {
@@ -199,19 +201,28 @@ inline ObsOptions parse_bench_flags(int argc, char** argv, unsigned accepted) {
     }
     die("unknown flag", std::string(arg));
   }
+  // The whole value must be a decimal u64: no sign, no trailing
+  // characters, no overflow.
+  const auto number = [&](const char* what, const std::string& value) {
+    u64 n = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc() || ptr != end) die(what, value);
+    return n;
+  };
   if (!cores_str.empty()) {
-    const long n = std::strtol(cores_str.c_str(), nullptr, 10);
+    const u64 n = number("bad core count", cores_str);
     if (n < 1 || n > 64) die("bad core count", cores_str);
     opts.cores = static_cast<unsigned>(n);
   }
   if (!period_str.empty()) {
-    opts.sample_period = std::strtoull(period_str.c_str(), nullptr, 10);
+    opts.sample_period = number("bad sample period", period_str);
   }
   if (!ts_period_str.empty()) {
-    opts.ts_period = std::strtoull(ts_period_str.c_str(), nullptr, 10);
+    opts.ts_period = number("bad time-series period", ts_period_str);
   }
   if (!iters_str.empty()) {
-    opts.iters = std::strtoull(iters_str.c_str(), nullptr, 10);
+    opts.iters = number("bad iteration count", iters_str);
     if (opts.iters == 0) opts.iters = 1;
   }
   if (!backend_str.empty()) {
@@ -245,17 +256,14 @@ class ObsSession {
       obs::trace().arm(kTraceCapacity);
       obs::spans().arm(kTraceCapacity);
     }
-    if (opts_.ts_period > 0) obs::timeseries().arm(opts_.ts_period);
-    if (!opts_.metrics_path.empty()) {
-      obs::metrics().enable();
-      // Live scrape file: every time-series sample also rewrites the
-      // exposition snapshot, so `watch cat FILE` observes the run.
-      if (opts_.ts_period > 0) {
-        obs::exposition_pump().arm(opts_.metrics_path,
-                                   {/*include_host=*/true,
-                                    /*include_self=*/opts_.self_profile});
-      }
+    // Live scrape file: under --metrics-out every time-series sample also
+    // rewrites the exposition snapshot, so `watch cat FILE` observes the run.
+    if (opts_.ts_period > 0) {
+      obs::timeseries().arm(opts_.ts_period,
+                            obs::TimeSeries::kDefaultCapacity,
+                            opts_.metrics_path);
     }
+    if (!opts_.metrics_path.empty()) obs::registry().enable_labels();
     if (opts_.self_profile) obs::selfprof().enable();
     const bool want_profile =
         !opts_.profile_path.empty() || !opts_.json_path.empty();
@@ -299,6 +307,15 @@ class ObsSession {
   // `return obs.finish();`.
   int finish() {
     bool ok = true;
+    if (opts_.ts_period > 0) {
+      // Final snapshot catches the tail between the last period boundary
+      // and the end of the run; set_timeseries() while armed records the
+      // period itself. Disarming also ends the live exposition rewrites
+      // before the final one below.
+      obs::timeseries().sample_now();
+      if (!opts_.json_path.empty()) report_.set_timeseries(obs::timeseries());
+      obs::timeseries().disarm();
+    }
     const bool spans_armed = obs::spans().armed();
     if (!opts_.trace_path.empty()) {
       obs::trace().disarm();
@@ -326,10 +343,7 @@ class ObsSession {
       }
     }
     if (!opts_.metrics_path.empty()) {
-      obs::exposition_pump().disarm();
-      if (obs::write_exposition(opts_.metrics_path,
-                                {/*include_host=*/true,
-                                 /*include_self=*/opts_.self_profile})) {
+      if (obs::write_exposition(opts_.metrics_path)) {
         std::printf("obs: wrote metrics exposition to %s\n",
                     opts_.metrics_path.c_str());
       } else {
@@ -349,20 +363,12 @@ class ObsSession {
                          ledger.of(k));
     }
     report_.add_counters(obs::registry().snapshot());
-    report_.add_histograms(obs::histograms().snapshot());
+    report_.add_histograms(obs::registry().histogram_snapshot());
     // Capture the profile while the profiler is still armed so the section
     // records the effective sampling period.
     if (opts_.sample_period > 0) report_.set_profile(obs::profiler());
     // Optional sections: emitted only when their instrument ran, so reports
     // from flagless runs stay byte-identical with the checked-in golden.
-    if (opts_.ts_period > 0) {
-      // Final snapshot catches the tail between the last period boundary
-      // and the end of the run; set_timeseries() while armed records the
-      // period itself.
-      obs::timeseries().sample_now();
-      report_.set_timeseries(obs::timeseries());
-      obs::timeseries().disarm();
-    }
     if (spans_armed) report_.set_spans(obs::spans());
     // Host-counter section ("host"): `sim.trace.*` and friends in every
     // report, not just bench/throughput's results. Emitted only when the

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "bench_util.h"
-#include "obs/metrics.h"
+#include "obs/counters.h"
 #include "workloads/httpd.h"
 
 namespace {
@@ -69,16 +69,13 @@ void print_fig3() {
       bench::record(slug_of(combo.label) + "." + to_string(kMechs[m]) +
                         ".rps_at_64",
                     sat);
-      // Per-tenant rps sample for the metrics plane: the single-worker
-      // sweep contributes one saturation-rps sample per combo/mechanism to
-      // the "httpd-worker" tenant's distribution.
-      if (obs::metrics().enabled()) {
+      // Per-tenant rps sample for --metrics-out: the single-worker sweep
+      // contributes one saturation-rps sample per combo/mechanism to the
+      // "httpd-worker" tenant's distribution.
+      if (obs::registry().labels_enabled()) {
         obs::LabelSet labels;
         labels.set(obs::LabelKey::kTenant, "httpd-worker");
-        obs::metrics()
-            .histogram_family("httpd.rps")
-            .with(labels)
-            .record(static_cast<u64>(sat));
+        obs::registry().histogram("httpd.rps", labels).record(static_cast<u64>(sat));
       }
       if (m == 0) {
         base_rps = sat;

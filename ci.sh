@@ -95,6 +95,14 @@ build/bench/lz_report BENCH_table5_v2.json "$v2_a" \
 # cannot be written fails the run (exit 1).
 expect_exit 2 build/bench/table5_switch --no-such-flag
 expect_exit 2 build/bench/fig4_mysql --backend poe
+# A numeric value must be a whole non-negative decimal in range: trailing
+# characters, letters and a sign (which strtoull would silently wrap) all
+# exit 2 instead of running with a garbled value.
+expect_exit 2 build/bench/table5_switch --sample-period abc
+expect_exit 2 build/bench/table5_switch --ts-period 5x
+expect_exit 2 build/bench/table5_switch --cores 3x
+expect_exit 2 build/bench/table5_switch --sample-period=-1
+expect_exit 2 build/bench/throughput --iters zz
 build/bench/table5_switch --help | grep -q -- '--ts-period'
 expect_exit 1 build/bench/table1_comparison --json /nonexistent/dir/t1.json
 
@@ -136,7 +144,7 @@ fi
 build/bench/lz_report "$fig3_on" "$fig3_off" \
   --require-cycles-equal --require-sim-identical >/dev/null
 
-# Metrics-plane smoke: the per-tenant exposition must carry the per-worker
+# --metrics-out smoke: the per-tenant exposition must carry the per-worker
 # rps and request-latency summaries plus the per-tenant/domain switch-cycle
 # families, and two same-seed runs must render byte-identical snapshots
 # (every series value is derived from simulated work only).
@@ -152,7 +160,7 @@ grep -q '^httpd_request_cycles{tenant="httpd-worker0",quantile="0.5"}' "$expo_a"
 grep -q '^lz_tenant_gate_switch_cycles{tenant=' "$expo_a"
 grep -q '^lz_tenant_world_switch_cycles{tenant=' "$expo_a"
 
-# Overhead self-audit, part 1: arming the metrics plane (and the final
+# Overhead self-audit, part 1: registering the labeled series (and the final
 # exposition write) may not move a simulated cycle or counter — the armed
 # table5 run must be sim-identical to the flagless baseline.
 t5_metrics=/tmp/t5.metrics.json
@@ -166,11 +174,11 @@ build/bench/lz_report "$v2_a" "$t5_metrics" \
   --require-cycles-equal --require-sim-identical >/dev/null
 
 # Overhead self-audit, part 2: with --self-profile the obs stack attributes
-# its own host wall-clock (sampling, rendering, dump pump) to
-# host.self.obs. On the engine-heavy throughput bench with the pump firing
-# every 10M simulated cycles, the obs stack must stay below 25% of the
-# engine's own run-tier time — the metrics plane may observe the engine,
-# not crowd it out.
+# its own host wall-clock (sampling, rendering, live exposition rewrites)
+# to host.self.obs. On the engine-heavy throughput bench with the
+# exposition rewritten at every 10M-simulated-cycle sample, the obs stack
+# must stay below 25% of the engine's own run-tier time — it may observe
+# the engine, not crowd it out.
 audit_expo=/tmp/throughput.audit.prom
 rm -f "$audit_expo"
 build/bench/throughput --iters 1 --metrics-out "$audit_expo" \
@@ -183,6 +191,27 @@ awk '/^host_self_run_ticks/ { run = $2 }
        printf "self-audit: host.self.obs / host.self.run = %.4f\n", ratio
        exit ratio < 0.25 ? 0 : 1
      }' "$audit_expo"
+
+# obs byte-identity gate: bench/obs_goldens.sha256 holds the sha256 of
+# every artifact of two fully armed runs — table5 with the event trace,
+# span and time-series rings all wrapping (so their drop counts are
+# pinned), the profile, the report and the live-rewritten exposition; and
+# the 4-core fig3 exposition + profile. The 17 MB trace is why hashes are
+# stored instead of files. Any refactor of the obs stack must reproduce
+# them byte for byte.
+repo=$(pwd)
+goldens=/tmp/obs_goldens
+rm -rf "$goldens"
+mkdir -p "$goldens"
+(
+  cd "$goldens"
+  "$repo/build/bench/table5_switch" --json table5.json \
+    --trace table5.trace.json --profile table5.folded \
+    --metrics-out table5.prom --ts-period 200000 >/dev/null
+  "$repo/build/bench/fig3_nginx" --cores 4 \
+    --metrics-out fig3_cores4.prom --profile fig3_cores4.folded >/dev/null
+  sha256sum --quiet -c "$repo/bench/obs_goldens.sha256"
+)
 
 # Trend gate: the checked-in bench history must accept a fresh table5 run
 # (cycles.total is simulated, so the drift from the recorded median is
@@ -270,48 +299,30 @@ build/bench/lz_report BENCH_throughput.json \
   --result-floor straight_line.mips.median:500 \
   --result-floor tight_loop.mips.median:500
 
-# TSan build: the SMP scheduler, per-core TLB shootdown, obs counters, the
-# lock-free hot path (L0 generations, PhysMem radix, batched flushes), the
-# PMU/profiler/histogram instruments, the BBM write-protocol monitor and
-# both concurrent fuzz drivers must be clean under the thread sanitizer.
+# TSan build: the whole test suite (SMP scheduler, per-core TLB
+# shootdown, the obs registry and rings, the lock-free hot path, the
+# PMU/profiler instruments, the BBM monitor, ...) must be clean under the
+# thread sanitizer, with the trace tier forced on so its dispatch path, the
+# DVM teardown hook and the generation-tag invalidation are covered on SMP
+# topologies. The concurrent fuzz drivers and a 2-core throughput run ride
+# along.
 cmake -B build-tsan -G Ninja -DLZ_SANITIZE=thread >/dev/null
-cmake --build build-tsan --target smp_test obs_test obs_v3_test \
-  metrics_test hotpath_test histogram_test profiler_test pmu_test \
-  backend_test bbm_test fuzz_table2 fuzz_a64 throughput
-build-tsan/tests/smp_test
-build-tsan/tests/obs_test
-build-tsan/tests/obs_v3_test
-build-tsan/tests/metrics_test
-# Tier forced on explicitly: the trace dispatch path, the DVM teardown hook
-# and the generation-tag invalidation must be race-free on SMP topologies.
-LZ_TRACE_TIER=1 build-tsan/tests/hotpath_test
-build-tsan/tests/histogram_test
-build-tsan/tests/profiler_test
-build-tsan/tests/pmu_test
-build-tsan/tests/backend_test
-build-tsan/tests/bbm_test
+cmake --build build-tsan
+LZ_TRACE_TIER=1 ctest --test-dir build-tsan --output-on-failure -j 4
 build-tsan/bench/fuzz_table2 --seed 3 --cores 4 --ops 400
 LZ_TRACE_TIER=1 build-tsan/bench/fuzz_a64 --seed 3 --cores 4 --streams 200
 build-tsan/bench/throughput --iters 1 --cores 2 >/dev/null
 
-# ASan build: the fuzz driver exercises free/refault paths hard (it is
-# what caught the dangling-region use-after-free in lz_free); keep it
-# memory-clean under the address sanitizer, and sweep the new observability
-# instruments for leaks and overruns too.
-cmake -B build-asan -G Ninja -DLZ_SANITIZE=address >/dev/null
-cmake --build build-asan --target fuzz_table2 fuzz_a64 check_test bbm_test \
-  hotpath_test histogram_test profiler_test pmu_test obs_v3_test \
-  backend_test metrics_test
-build-asan/tests/check_test
-build-asan/tests/metrics_test
-build-asan/tests/bbm_test
-LZ_TRACE_TIER=1 build-asan/tests/hotpath_test
-build-asan/tests/histogram_test
-build-asan/tests/profiler_test
-build-asan/tests/pmu_test
-build-asan/tests/obs_v3_test
-build-asan/tests/backend_test
+# ASan+UBSan build: the whole suite must be memory-clean and free of
+# undefined behaviour (halt_on_error turns every UBSan report into a
+# failure). The fuzz drivers exercise free/refault paths hard (they are
+# what caught the dangling-region use-after-free in lz_free).
+cmake -B build-asan -G Ninja -DLZ_SANITIZE=address,undefined >/dev/null
+cmake --build build-asan
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+LZ_TRACE_TIER=1 ctest --test-dir build-asan --output-on-failure -j 4
 build-asan/bench/fuzz_table2 --seed 5 --cores 4 --ops 600
 LZ_TRACE_TIER=1 build-asan/bench/fuzz_a64 --seed 5 --cores 4 --streams 200
+unset UBSAN_OPTIONS
 
 echo "ci.sh: OK"

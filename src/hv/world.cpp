@@ -1,7 +1,6 @@
 #include "hv/world.h"
 
 #include "obs/counters.h"
-#include "obs/histogram.h"
 
 namespace lz::hv {
 
@@ -53,7 +52,7 @@ void charge_full_vm_exit(sim::Machine& m) {
   charge_sysreg_save(m, full_el1_ctx_count());
   m.charge(CostKind::kCtx, p.fp_simd_ctx + p.gic_ctx + p.timer_ctx);
   static obs::Histogram& h =
-      obs::histograms().histogram("hv.world.vm_switch_cycles");
+      obs::registry().histogram("hv.world.vm_switch_cycles");
   h.record(m.account().total() - start);
 }
 
@@ -64,7 +63,7 @@ void charge_full_vm_entry(sim::Machine& m) {
   charge_sysreg_restore(m, full_el1_ctx_count());
   m.charge(CostKind::kCtx, p.fp_simd_ctx + p.gic_ctx + p.timer_ctx);
   static obs::Histogram& h =
-      obs::histograms().histogram("hv.world.vm_switch_cycles");
+      obs::registry().histogram("hv.world.vm_switch_cycles");
   h.record(m.account().total() - start);
 }
 

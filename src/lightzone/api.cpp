@@ -1,6 +1,6 @@
 #include "lightzone/api.h"
 
-#include "obs/metrics.h"
+#include "obs/counters.h"
 
 #ifdef LZ_CONF_CHECK
 #include "check/bbm.h"
@@ -9,14 +9,11 @@
 namespace lz::core {
 
 void LzProc::record_backend_switch(int gate, Cycles delta) {
-  if (!obs::metrics().enabled()) return;
+  if (!obs::registry().labels_enabled()) return;
   obs::LabelSet labels;
   labels.set(obs::LabelKey::kBackend, backend_->name());
   labels.set(obs::LabelKey::kDomain, static_cast<u64>(gate));
-  obs::metrics()
-      .histogram_family("lz.backend.switch_cycles")
-      .with(labels)
-      .record(delta);
+  obs::registry().histogram("lz.backend.switch_cycles", labels).record(delta);
 }
 
 Env::Env(const Options& opts) : placement(opts.placement_) {

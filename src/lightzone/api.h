@@ -135,8 +135,8 @@ class LzProc {
 
   // Executes the domain switch (the real call-gate instruction sequence on
   // the TTBR backend); returns the cycles consumed on the calling core.
-  // With the metrics plane armed, the verb cost lands in the
-  // backend-labeled `lz.backend.switch_cycles{backend=,domain=}` family so
+  // Under --metrics-out, the verb cost lands in the backend-labeled
+  // `lz.backend.switch_cycles{backend=,domain=}` series so
   // cross-mechanism sweeps can compare Table-2 costs per backend from one
   // exposition (api.cpp).
   Result<Cycles> lz_switch_to_ttbr_gate(int gate) {
@@ -177,9 +177,8 @@ class LzProc {
   LzProc(std::shared_ptr<IsolationBackend> backend, LzModule& module,
          LzContext& ctx)
       : backend_(std::move(backend)), module_(&module), ctx_(&ctx) {}
-  // Out-of-line (api.cpp): one metrics().enabled() load when the plane is
-  // off, a labeled-family record when it is on. Keeps obs/metrics.h out of
-  // this header's include fan-out.
+  // Out-of-line (api.cpp): one registry().labels_enabled() load when
+  // --metrics-out is off, a labeled-series record when it is on.
   void record_backend_switch(int gate, Cycles delta);
   std::shared_ptr<IsolationBackend> backend_;
   LzModule* module_ = nullptr;  // non-null only for the TTBR+PAN backend

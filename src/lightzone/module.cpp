@@ -4,8 +4,6 @@
 #include <span>
 
 #include "obs/counters.h"
-#include "obs/histogram.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -71,13 +69,13 @@ LzCounters& lz_counters() {
 // cannot perturb cycle totals or v1 report byte-identity.
 struct LzHists {
   obs::Histogram& gate_switch =
-      obs::histograms().histogram("lz.gate.switch_cycles");
+      obs::registry().histogram("lz.gate.switch_cycles");
   obs::Histogram& pan_switch =
-      obs::histograms().histogram("lz.pan.switch_cycles");
+      obs::registry().histogram("lz.pan.switch_cycles");
   obs::Histogram& hvc_forward =
-      obs::histograms().histogram("lz.hvc.forward_cycles");
+      obs::registry().histogram("lz.hvc.forward_cycles");
   obs::Histogram& world_switch =
-      obs::histograms().histogram("lz.world.switch_cycles");
+      obs::registry().histogram("lz.world.switch_cycles");
 };
 
 LzHists& lz_hists() {
@@ -85,28 +83,12 @@ LzHists& lz_hists() {
   return h;
 }
 
-// Labeled switch-latency families (metrics plane, DESIGN.md §17): the same
-// deltas the flat histograms record, keyed per tenant (the registered
-// domain label, falling back to "vmid<v>") and — for gate switches — per
-// domain (the target ASID). Everything below is guarded by
-// metrics().enabled(), so the flagless path pays one relaxed load and the
-// per-tenant families never even register.
-struct LzMetricFamilies {
-  obs::HistogramFamily& gate =
-      obs::metrics().histogram_family("lz.tenant.gate_switch_cycles");
-  obs::HistogramFamily& pan =
-      obs::metrics().histogram_family("lz.tenant.pan_switch_cycles");
-  obs::HistogramFamily& world =
-      obs::metrics().histogram_family("lz.tenant.world_switch_cycles");
-  obs::HistogramFamily& hvc =
-      obs::metrics().histogram_family("lz.tenant.hvc_forward_cycles");
-};
-
-LzMetricFamilies& lz_metric_families() {
-  static LzMetricFamilies f;
-  return f;
-}
-
+// Labeled switch-latency series (DESIGN.md §17): the same deltas the flat
+// histograms record, in `lz.tenant.*` series keyed per tenant (the
+// registered domain label, falling back to "vmid<v>") and — for gate
+// switches — per domain (the target ASID). Every call is guarded by
+// registry().labels_enabled(), so the flagless path pays one relaxed load
+// and the per-tenant series never even register.
 std::string tenant_label(u16 vmid, u16 asid) {
   std::string label = obs::domain_label(vmid, asid);
   if (label.empty() && asid != 0) label = obs::domain_label(vmid, 0);
@@ -114,12 +96,12 @@ std::string tenant_label(u16 vmid, u16 asid) {
   return label;
 }
 
-void record_tenant_switch(obs::HistogramFamily& family, u16 vmid, u16 asid,
+void record_tenant_switch(const char* name, u16 vmid, u16 asid,
                           bool with_domain, Cycles delta) {
   obs::LabelSet labels;
   labels.set(obs::LabelKey::kTenant, tenant_label(vmid, asid));
   if (with_domain) labels.set(obs::LabelKey::kDomain, u64{asid});
-  family.with(labels).record(delta);
+  obs::registry().histogram(name, labels).record(delta);
 }
 
 }  // namespace
@@ -777,8 +759,8 @@ void LzModule::enter_world(LzContext& ctx) {
   w.active = &ctx;
   const Cycles enter_delta = machine().account().total() - start;
   lz_hists().world_switch.record(enter_delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().world, ctx.vmid, 0,
+  if (obs::registry().labels_enabled())
+    record_tenant_switch("lz.tenant.world_switch_cycles", ctx.vmid, 0,
                          /*with_domain=*/false, enter_delta);
 }
 
@@ -795,8 +777,8 @@ void LzModule::exit_world(LzContext& ctx) {
   w.active = nullptr;
   const Cycles exit_delta = machine().account().total() - start;
   lz_hists().world_switch.record(exit_delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().world, ctx.vmid, 0,
+  if (obs::registry().labels_enabled())
+    record_tenant_switch("lz.tenant.world_switch_cycles", ctx.vmid, 0,
                          /*with_domain=*/false, exit_delta);
 }
 
@@ -861,8 +843,8 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
   }
   const Cycles delta = machine().account().total() - start;
   lz_hists().gate_switch.record(delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().gate, ctx.vmid, asid,
+  if (obs::registry().labels_enabled())
+    record_tenant_switch("lz.tenant.gate_switch_cycles", ctx.vmid, asid,
                          /*with_domain=*/true, delta);
   return delta;
 }
@@ -879,8 +861,8 @@ Cycles LzModule::exec_set_pan(LzContext& ctx, bool pan) {
   obs::trace().pan_toggle(pan);
   const Cycles delta = machine().account().total() - start;
   lz_hists().pan_switch.record(delta);
-  if (obs::metrics().enabled())
-    record_tenant_switch(lz_metric_families().pan, ctx.vmid, 0,
+  if (obs::registry().labels_enabled())
+    record_tenant_switch("lz.tenant.pan_switch_cycles", ctx.vmid, 0,
                          /*with_domain=*/false, delta);
   return delta;
 }
@@ -928,8 +910,8 @@ sim::TrapAction LzModule::on_el2_trap(const TrapInfo& info) {
       if (nested() && action == TrapAction::kResume) charge_nested_exit(*ctx);
       const Cycles fwd_delta = machine().account().total() - fwd_start;
       lz_hists().hvc_forward.record(fwd_delta);
-      if (obs::metrics().enabled())
-        record_tenant_switch(lz_metric_families().hvc, ctx->vmid, 0,
+      if (obs::registry().labels_enabled())
+        record_tenant_switch("lz.tenant.hvc_forward_cycles", ctx->vmid, 0,
                              /*with_domain=*/false, fwd_delta);
       return action;
     }

@@ -4,8 +4,7 @@
 #include <cstdio>
 
 #include "obs/counters.h"
-#include "obs/histogram.h"
-#include "obs/metrics.h"
+#include "obs/selfprof.h"
 
 namespace lz::obs {
 
@@ -84,72 +83,64 @@ void render_histogram_series(std::string& out, const std::string& name,
 
 }  // namespace
 
-std::string render_exposition(const ExpositionOptions& opts) {
+std::string render_exposition() {
   SelfProfScope prof(SelfTier::kObs);
   std::string out;
   out += "# lz.obs exposition v1\n";
 
-  // Flat simulated counters (already name-sorted by the registry).
-  for (const auto& [name, value] : registry().snapshot()) {
-    const std::string mname = mangle(name);
-    out += "# TYPE " + mname + " counter\n";
-    line(out, mname, LabelSet{}, "", value);
-  }
-
-  // Labeled counter families (name-sorted; series label-sorted).
-  for (const CounterFamily* fam : metrics().counter_families()) {
-    auto series = fam->series();
-    if (series.empty()) continue;
-    const std::string mname = mangle(fam->name());
-    out += "# TYPE " + mname + " counter\n";
-    for (const auto& s : series)
-      line(out, mname, s.labels, s.overflow ? "overflow=\"true\"" : "",
-           s.inst->value());
-  }
-
-  // Flat histogram summaries (registry snapshot skips empty instruments).
-  for (const HistogramStats& st : histograms().snapshot()) {
-    const std::string mname = mangle(st.name);
-    out += "# TYPE " + mname + " summary\n";
-    line(out, mname, LabelSet{}, "quantile=\"0.5\"", st.p50);
-    line(out, mname, LabelSet{}, "quantile=\"0.9\"", st.p90);
-    line(out, mname, LabelSet{}, "quantile=\"0.99\"", st.p99);
-    line(out, mname + "_count", LabelSet{}, "", st.count);
-    out += mname + "_mean ";
-    append_fixed3(out, st.mean);
-    out += '\n';
-    line(out, mname + "_min", LabelSet{}, "", st.min);
-    line(out, mname + "_max", LabelSet{}, "", st.max);
-  }
-
-  // Labeled histogram families; empty series are skipped like the flat
-  // registry skips empty instruments.
-  for (const HistogramFamily* fam : metrics().histogram_families()) {
-    auto series = fam->series();
-    bool any = false;
-    for (const auto& s : series) any = any || s.inst->count() > 0;
-    if (!any) continue;
-    const std::string mname = mangle(fam->name());
-    out += "# TYPE " + mname + " summary\n";
-    for (const auto& s : series) {
-      if (s.inst->count() == 0) continue;
-      render_histogram_series(out, mname, s.labels,
-                              s.overflow ? "overflow=\"true\"" : "", *s.inst);
-    }
-  }
-
-  // Host-side counters (`sim.trace.*`): deterministic per config, but not
-  // across configs that merely execute identical simulated work.
-  if (opts.include_host) {
-    for (const auto& [name, value] : registry().host_snapshot()) {
-      const std::string mname = mangle(name);
-      out += "# TYPE " + mname + " counter\n";
-      line(out, mname, LabelSet{}, "", value);
+  // One pass in SeriesKind order. Unlabeled series each carry their own
+  // TYPE line; a labeled name gets one before its first rendered series.
+  const SeriesKey* typed = nullptr;  // key of the last TYPE line written
+  for (const SeriesRef& s : registry().series()) {
+    const SeriesKey& key = *s.key;
+    if (key.overflow && s.folded == 0) continue;
+    const std::string mname = mangle(key.name);
+    const std::string_view extra = key.overflow ? "overflow=\"true\"" : "";
+    const auto type_line = [&](const char* type) {
+      const bool labeled = key.kind == SeriesKind::kLabeledCounter ||
+                           key.kind == SeriesKind::kLabeledHistogram;
+      if (labeled && typed && typed->kind == key.kind &&
+          typed->name == key.name)
+        return;
+      out += "# TYPE " + mname + " " + type + "\n";
+      typed = &key;
+    };
+    switch (key.kind) {
+      case SeriesKind::kCounter:
+      case SeriesKind::kHostCounter:
+        type_line("counter");
+        line(out, mname, LabelSet{}, "", s.counter->value());
+        break;
+      case SeriesKind::kLabeledCounter:
+        type_line("counter");
+        line(out, mname, key.labels, extra, s.counter->value());
+        break;
+      case SeriesKind::kHistogram: {
+        // Unused instruments stay out, as in histogram_snapshot().
+        const Histogram& h = *s.histogram;
+        if (h.count() == 0) break;
+        type_line("summary");
+        line(out, mname, LabelSet{}, "quantile=\"0.5\"", h.percentile(50.0));
+        line(out, mname, LabelSet{}, "quantile=\"0.9\"", h.percentile(90.0));
+        line(out, mname, LabelSet{}, "quantile=\"0.99\"", h.percentile(99.0));
+        line(out, mname + "_count", LabelSet{}, "", h.count());
+        out += mname + "_mean ";
+        append_fixed3(out, h.mean());
+        out += '\n';
+        line(out, mname + "_min", LabelSet{}, "", h.min());
+        line(out, mname + "_max", LabelSet{}, "", h.max());
+        break;
+      }
+      case SeriesKind::kLabeledHistogram:
+        if (s.histogram->count() == 0) break;
+        type_line("summary");
+        render_histogram_series(out, mname, key.labels, extra, *s.histogram);
+        break;
     }
   }
 
   // Wall-clock self attribution: never part of the determinism contract.
-  if (opts.include_self) {
+  if (selfprof().enabled()) {
     for (std::size_t i = 0; i < kNumSelfTiers; ++i) {
       const auto tier = static_cast<SelfTier>(i);
       const std::string mname =
@@ -162,45 +153,13 @@ std::string render_exposition(const ExpositionOptions& opts) {
   return out;
 }
 
-bool write_exposition(const std::string& path, const ExpositionOptions& opts) {
-  const std::string text = render_exposition(opts);
+bool write_exposition(const std::string& path) {
+  const std::string text = render_exposition();
   SelfProfScope prof(SelfTier::kObs);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
   const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
   return std::fclose(f) == 0 && ok;
-}
-
-void ExpositionPump::arm(std::string path, ExpositionOptions opts) {
-  std::lock_guard<std::mutex> lock(mu_);
-  path_ = std::move(path);
-  opts_ = opts;
-  armed_.store(true, std::memory_order_relaxed);
-}
-
-void ExpositionPump::disarm() {
-  std::lock_guard<std::mutex> lock(mu_);
-  armed_.store(false, std::memory_order_relaxed);
-}
-
-void ExpositionPump::poll() {
-  if (!armed()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!armed_.load(std::memory_order_relaxed)) return;
-  if (write_exposition(path_, opts_))
-    dumps_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ExpositionPump::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  armed_.store(false, std::memory_order_relaxed);
-  dumps_.store(0, std::memory_order_relaxed);
-  path_.clear();
-}
-
-ExpositionPump& exposition_pump() {
-  static ExpositionPump pump;
-  return pump;
 }
 
 }  // namespace lz::obs

@@ -156,13 +156,7 @@ FlightRecorder& flight() {
   return recorder;
 }
 
-#ifndef LZ_OBS_NO_TRACE
-void flight_record(const Event& e) {
-  FlightRecorder& f = flight();
-  if (!f.enabled()) return;
-  f.record(e);
-}
-#endif
+void flight_record(const Event& e) { flight().record(e); }
 
 void flight_dump(std::FILE* out) {
   FlightRecorder& f = flight();

@@ -15,7 +15,6 @@
 // fetch_add — no locks, no allocation, TSan-clean under the SMP machine.
 // Readers (the crash dump) tolerate torn in-flight slots; slots are
 // tagged with a sequence number so the dump orders events per core.
-// LZ_OBS_NO_TRACE compiles the feed out together with the trace helpers.
 #pragma once
 
 #include <array>
@@ -40,10 +39,6 @@ class FlightRecorder {
  public:
   static constexpr std::size_t kMaxCores = 64;
   static constexpr std::size_t kEventsPerCore = 64;  // power of two
-
-  void enable() { enabled_.store(true, std::memory_order_relaxed); }
-  void disable() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Record one architectural event on `current_core()`.
   void record(const Event& e);
@@ -74,18 +69,13 @@ class FlightRecorder {
 
   std::array<CoreRing, kMaxCores> cores_;
   std::atomic<u64> recorded_{0};
-  std::atomic<bool> enabled_{true};
 };
 
-// The process-wide recorder (always constructed, enabled by default).
+// The process-wide recorder (always constructed, always recording).
 FlightRecorder& flight();
 
 // Feed hook called by every Trace emit helper (armed or not).
-#ifdef LZ_OBS_NO_TRACE
-inline void flight_record(const Event&) {}
-#else
 void flight_record(const Event& e);
-#endif
 
 // Write the black-box report to `out` (stderr in the crash paths) with a
 // BLACK BOX banner; no-op if nothing was recorded.

@@ -62,54 +62,4 @@ void Histogram::reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
-Histogram& HistogramRegistry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.try_emplace(std::string(name)).first;
-  }
-  return it->second;
-}
-
-const Histogram* HistogramRegistry::find(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-std::vector<HistogramStats> HistogramRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<HistogramStats> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    if (h.count() == 0) continue;  // unused instruments stay out of reports
-    HistogramStats s;
-    s.name = name;
-    s.count = h.count();
-    s.min = h.min();
-    s.max = h.max();
-    s.mean = h.mean();
-    s.p50 = h.percentile(50.0);
-    s.p90 = h.percentile(90.0);
-    s.p99 = h.percentile(99.0);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-void HistogramRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, h] : histograms_) h.reset();
-}
-
-std::size_t HistogramRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return histograms_.size();
-}
-
-HistogramRegistry& histograms() {
-  static HistogramRegistry r;
-  return r;
-}
-
 }  // namespace lz::obs

@@ -10,17 +10,14 @@
 // thread, lock-free, and commutative, so totals are deterministic regardless
 // of thread interleaving (the same contract as obs::Counter). Histograms
 // observe and never charge: recording can never perturb cycle totals,
-// counters, or byte-identical v1 reports.
+// counters, or byte-identical v1 reports. Named histograms are series in
+// obs::Registry (counters.h).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <map>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "support/types.h"
 
@@ -107,25 +104,5 @@ struct HistogramStats {
   u64 p90 = 0;
   u64 p99 = 0;
 };
-
-// Named histogram registry, mirroring obs::Registry: registration returns a
-// stable reference (hot paths record through a cached handle), snapshots are
-// name-sorted and skip empty histograms so unused instruments never appear
-// in reports.
-class HistogramRegistry {
- public:
-  Histogram& histogram(std::string_view name);
-  const Histogram* find(std::string_view name) const;
-  std::vector<HistogramStats> snapshot() const;
-  void reset();
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
-};
-
-// The process-wide histogram registry (same lifetime model as registry()).
-HistogramRegistry& histograms();
 
 }  // namespace lz::obs

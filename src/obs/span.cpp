@@ -1,9 +1,9 @@
 #include "obs/span.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <mutex>
 
 #include "obs/counters.h"
 #include "obs/flight.h"
@@ -71,25 +71,18 @@ const char* to_string(SpanKind kind) {
 }
 
 void SpanTracer::arm(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.assign(capacity ? capacity : 1, SpanEvent{});
-  head_ = 0;
-  count_ = 0;
+  ring_.reset(capacity);
   armed_.store(true, std::memory_order_relaxed);
 }
 
 void SpanTracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(ring_.begin(), ring_.end(), SpanEvent{});
-  head_ = 0;
-  count_ = 0;
+  ring_.clear();
   completed_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   max_depth_.store(0, std::memory_order_relaxed);
   for (auto& k : by_kind_) k.store(0, std::memory_order_relaxed);
 }
 
-#ifndef LZ_OBS_NO_TRACE
 u64 SpanTracer::begin(SpanKind kind, u64 arg, u16 vmid, u16 asid) {
   if (!armed_.load(std::memory_order_relaxed)) return 0;
   TlsSpans& t = t_spans;
@@ -135,7 +128,6 @@ u64 SpanTracer::current() {
   const TlsSpans& t = t_spans;
   return t.depth ? t.stack[t.depth - 1].id : t.ambient;
 }
-#endif  // LZ_OBS_NO_TRACE
 
 SpanTracer::Adopt::Adopt(u64 parent) {
   prev_ = t_spans.ambient;
@@ -148,32 +140,7 @@ void SpanTracer::push(const SpanEvent& e) {
   completed_.fetch_add(1, std::memory_order_relaxed);
   by_kind_[static_cast<std::size_t>(e.kind)].fetch_add(
       1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return;
-  if (count_ == ring_.size()) dropped_.fetch_add(1, std::memory_order_relaxed);
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  if (count_ < ring_.size()) ++count_;
-}
-
-std::size_t SpanTracer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::size_t SpanTracer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-std::vector<SpanEvent> SpanTracer::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SpanEvent> out;
-  out.reserve(count_);
-  const std::size_t start = (head_ + ring_.size() - count_) % ring_.size();
-  for (std::size_t i = 0; i < count_; ++i)
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  return out;
+  ring_.push(e);
 }
 
 std::string SpanTracer::chrome_fragment() const {

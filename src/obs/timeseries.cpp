@@ -2,20 +2,17 @@
 
 #include "obs/counters.h"
 #include "obs/expose.h"
-#include "obs/metrics.h"
+#include "obs/selfprof.h"
 
 namespace lz::obs {
 
-void TimeSeries::arm(u64 period, std::size_t capacity) {
+void TimeSeries::arm(u64 period, std::size_t capacity,
+                     std::string exposition_path) {
+  ring_.reset(capacity);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    capacity_ = capacity ? capacity : 1;
-    ring_.clear();
-    ring_.resize(capacity_);
-    head_ = 0;
-    count_ = 0;
+    std::lock_guard<std::mutex> lock(exposition_mu_);
+    exposition_path_ = std::move(exposition_path);
   }
-  dropped_.store(0, std::memory_order_relaxed);
   period_.store(period ? period : 1, std::memory_order_relaxed);
   const u64 p = period_.load(std::memory_order_relaxed);
   detail::g_ts_next_due.store(cycle_ledger().total() + p,
@@ -25,15 +22,13 @@ void TimeSeries::arm(u64 period, std::size_t capacity) {
 void TimeSeries::disarm() {
   period_.store(0, std::memory_order_relaxed);
   detail::g_ts_next_due.store(~u64{0}, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(exposition_mu_);
+  exposition_path_.clear();
 }
 
 void TimeSeries::reset() {
   disarm();
-  std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();
-  head_ = 0;
-  count_ = 0;
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 void TimeSeries::poll(u64 total) {
@@ -59,33 +54,11 @@ void TimeSeries::take_sample(u64 total) {
   TimeSeriesSample sample;
   sample.ts = total;
   sample.counters = registry().snapshot();
-  sample.histograms = histograms().snapshot();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.empty()) return;
-    if (count_ == capacity_) dropped_.fetch_add(1, std::memory_order_relaxed);
-    ring_[head_] = std::move(sample);
-    head_ = (head_ + 1) % capacity_;
-    if (count_ < capacity_) ++count_;
-  }
-  // Live-exposition pump rides the same due-threshold: each sample is also
-  // a scrape point when a dump file is armed.
-  exposition_pump().poll();
-}
-
-std::size_t TimeSeries::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::vector<TimeSeriesSample> TimeSeries::samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TimeSeriesSample> out;
-  out.reserve(count_);
-  const std::size_t start = (head_ + capacity_ - count_) % capacity_;
-  for (std::size_t i = 0; i < count_; ++i)
-    out.push_back(ring_[(start + i) % capacity_]);
-  return out;
+  sample.histograms = registry().histogram_snapshot();
+  ring_.push(std::move(sample));
+  // Each sample is also a scrape point when an exposition file is armed.
+  std::lock_guard<std::mutex> lock(exposition_mu_);
+  if (!exposition_path_.empty()) write_exposition(exposition_path_);
 }
 
 TimeSeries& timeseries() {

@@ -1,8 +1,8 @@
 // lz::obs — time-series telemetry.
 //
 // A simulated-cycle-driven sampler: every `period` cycles of global
-// simulated work (CycleLedger::total), snapshot the counter registry and
-// the latency-histogram registry into a fixed-size ring of samples. The
+// simulated work (CycleLedger::total), snapshot the registry's unlabeled
+// counters and histograms into the shared bounded ring (ring.h). The
 // result is rps / p99-over-time data for saturation sweeps — the substrate
 // the fleet-scale serving bench plots stand on — emitted as the
 // `timeseries` section of lz.bench.report.v2.
@@ -20,15 +20,19 @@
 // claim interleaving (and so exact sample timestamps) may vary run to run;
 // the deterministic-report CI legs simply do not pass --ts-period, and the
 // section is only emitted when armed.
+//
+// Armed with an exposition path (--metrics-out), every sample also
+// rewrites that file (expose.h), so a running bench can be scraped live.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "obs/counters.h"
-#include "obs/histogram.h"
+#include "obs/ring.h"
 #include "support/types.h"
 
 namespace lz::obs {
@@ -48,10 +52,13 @@ class TimeSeries {
   static constexpr std::size_t kDefaultCapacity = 256;
 
   // Start sampling every `period` simulated cycles, keeping the most
-  // recent `capacity` samples. The first sample is due one period from
-  // the current ledger total.
-  void arm(u64 period, std::size_t capacity = kDefaultCapacity);
-  // Park the sampler and keep recorded samples for export.
+  // recent `capacity` samples (at least one). The first sample is due one
+  // period from the current ledger total. A non-empty `exposition_path`
+  // is rewritten with the full exposition at every sample.
+  void arm(u64 period, std::size_t capacity = kDefaultCapacity,
+           std::string exposition_path = {});
+  // Park the sampler (and stop the exposition rewrites); keep recorded
+  // samples for export.
   void disarm();
   bool armed() const { return period_.load(std::memory_order_relaxed) != 0; }
   u64 period() const { return period_.load(std::memory_order_relaxed); }
@@ -67,22 +74,20 @@ class TimeSeries {
   // runs still export their final state).
   void sample_now();
 
-  std::size_t size() const;
-  u64 dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  std::size_t size() const { return ring_.size(); }
+  u64 dropped() const { return ring_.dropped(); }
 
   // Recorded samples, oldest first.
-  std::vector<TimeSeriesSample> samples() const;
+  std::vector<TimeSeriesSample> samples() const { return ring_.items(); }
 
  private:
   void take_sample(u64 total);
 
   std::atomic<u64> period_{0};
-  std::atomic<u64> dropped_{0};
-  mutable std::mutex mu_;
-  std::vector<TimeSeriesSample> ring_;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  Ring<TimeSeriesSample> ring_;
+  // Serialises the exposition rewrites; several cores may sample at once.
+  std::mutex exposition_mu_;
+  std::string exposition_path_;
 };
 
 TimeSeries& timeseries();

@@ -133,61 +133,20 @@ void append_args(std::string& out, const Event& e) {
 }  // namespace
 
 void Trace::arm(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.assign(capacity, Event{});
-  head_ = count_ = 0;
-  dropped_ = 0;
-  armed_.store(capacity > 0, std::memory_order_relaxed);
+  ring_.reset(capacity);
+  armed_.store(true, std::memory_order_relaxed);
 }
 
-void Trace::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  head_ = count_ = 0;
-  dropped_ = 0;
-}
-
-std::size_t Trace::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::size_t Trace::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-u64 Trace::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
+void Trace::clear() { ring_.clear(); }
 
 void Trace::push(const Event& e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return;
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  if (count_ < ring_.size()) {
-    ++count_;
-  } else {
-    ++dropped_;  // wraparound: the oldest event was overwritten
-    // Surface silent truncation in the counter registry too, so reports
-    // flag it without the trace file. Registered lazily on the first drop:
-    // drop-free runs keep their counter section (and v1 goldens) unchanged.
-    static Counter& dropped_counter = registry().counter("obs.trace.dropped");
-    dropped_counter.add();
-  }
-}
-
-std::vector<Event> Trace::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Event> out;
-  out.reserve(count_);
-  const std::size_t start =
-      count_ < ring_.size() ? 0 : head_;  // oldest surviving event
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
+  if (!ring_.push(e)) return;
+  // Wraparound overwrote the oldest event. Surface silent truncation in
+  // the counter registry too, so reports flag it without the trace file.
+  // Registered lazily on the first drop: drop-free runs keep their counter
+  // section (and v1 goldens) unchanged.
+  static Counter& dropped_counter = registry().counter("obs.trace.dropped");
+  dropped_counter.add();
 }
 
 std::string Trace::to_chrome_json(std::string_view extra_events) const {

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "obs/counters.h"
-#include "obs/metrics.h"
+#include "obs/selfprof.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "support/bits.h"

@@ -4,7 +4,6 @@
 
 #include "mem/pte_observer.h"
 #include "obs/flight.h"
-#include "obs/histogram.h"
 
 namespace lz::sim {
 
@@ -59,7 +58,7 @@ void Machine::charge_dvm_broadcast() {
       static_cast<Cycles>(num_cores() - 1) * plat_.dvm_bcast_per_core;
   charge(CostKind::kTlbi, cost);
   static obs::Histogram& h =
-      obs::histograms().histogram("sim.dvm.shootdown_cycles");
+      obs::registry().histogram("sim.dvm.shootdown_cycles");
   h.record(cost);
 }
 

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "lightzone/api.h"
-#include "obs/metrics.h"
+#include "obs/counters.h"
 #include "obs/span.h"
 #include "support/rng.h"
 #include "workloads/crypto/aes.h"
@@ -15,22 +15,21 @@ namespace lz::workload {
 
 namespace {
 
-// Per-tenant request instruments (metrics plane, DESIGN.md §17). Handles
+// Per-tenant request instruments (labeled series, DESIGN.md §17). Handles
 // are resolved once per worker before its request loop — the loop itself
-// records through cached pointers (one relaxed add each), and when the
-// plane is off the pointers stay null and the loop pays one branch.
+// records through cached pointers (one relaxed add each), and without
+// --metrics-out the pointers stay null and the loop pays one branch.
 struct TenantRequestMetrics {
   obs::Counter* requests = nullptr;
   obs::Histogram* request_cycles = nullptr;
 
   static TenantRequestMetrics resolve(const std::string& tenant) {
     TenantRequestMetrics m;
-    if (!obs::metrics().enabled()) return m;
+    if (!obs::registry().labels_enabled()) return m;
     obs::LabelSet labels;
     labels.set(obs::LabelKey::kTenant, tenant);
-    m.requests = &obs::metrics().counter_family("httpd.requests").with(labels);
-    m.request_cycles =
-        &obs::metrics().histogram_family("httpd.request_cycles").with(labels);
+    m.requests = &obs::registry().counter("httpd.requests", labels);
+    m.request_cycles = &obs::registry().histogram("httpd.request_cycles", labels);
     return m;
   }
 };
@@ -304,13 +303,10 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
     // Per-tenant rps distribution: one sample per worker per run, so a
     // fig3 sweep accumulates the per-tenant throughput spread across its
     // combo/mechanism grid.
-    if (obs::metrics().enabled()) {
+    if (obs::registry().labels_enabled()) {
       obs::LabelSet labels;
       labels.set(obs::LabelKey::kTenant, "httpd-worker" + std::to_string(w));
-      obs::metrics()
-          .histogram_family("httpd.rps")
-          .with(labels)
-          .record(static_cast<u64>(rps));
+      obs::registry().histogram("httpd.rps", labels).record(static_cast<u64>(rps));
     }
   }
   return result;

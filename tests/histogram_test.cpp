@@ -130,19 +130,19 @@ TEST_F(HistogramTest, ResetClearsEverything) {
 }
 
 TEST_F(HistogramTest, RegistryHandleIsStable) {
-  auto& h1 = obs::histograms().histogram("test.hist.a");
-  auto& h2 = obs::histograms().histogram("test.hist.a");
+  auto& h1 = obs::registry().histogram("test.hist.a");
+  auto& h2 = obs::registry().histogram("test.hist.a");
   EXPECT_EQ(&h1, &h2);
   h1.record(7);
-  EXPECT_EQ(obs::histograms().find("test.hist.a")->count(), 1u);
-  EXPECT_EQ(obs::histograms().find("test.hist.missing"), nullptr);
+  EXPECT_EQ(obs::registry().find_histogram("test.hist.a")->count(), 1u);
+  EXPECT_EQ(obs::registry().find_histogram("test.hist.missing"), nullptr);
 }
 
 TEST_F(HistogramTest, SnapshotSkipsEmptyAndSortsByName) {
-  obs::histograms().histogram("test.hist.z").record(100);
-  obs::histograms().histogram("test.hist.a").record(3);
-  obs::histograms().histogram("test.hist.empty");  // registered, unused
-  const auto snap = obs::histograms().snapshot();
+  obs::registry().histogram("test.hist.z").record(100);
+  obs::registry().histogram("test.hist.a").record(3);
+  obs::registry().histogram("test.hist.empty");  // registered, unused
+  const auto snap = obs::registry().histogram_snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].name, "test.hist.a");
   EXPECT_EQ(snap[1].name, "test.hist.z");
@@ -153,7 +153,7 @@ TEST_F(HistogramTest, SnapshotSkipsEmptyAndSortsByName) {
 }
 
 TEST_F(HistogramTest, ResetAllResetsRegisteredHistograms) {
-  auto& h = obs::histograms().histogram("test.hist.reset");
+  auto& h = obs::registry().histogram("test.hist.reset");
   h.record(9);
   obs::reset_all();
   EXPECT_EQ(h.count(), 0u);

@@ -1,11 +1,11 @@
-// lz::obs v4 — the per-tenant metrics plane and its exposition. Covers the
-// labeled-family registration discipline (stable handles, fixed label
+// lz::obs v4 — labeled series in obs::Registry and their exposition.
+// Covers the labeled registration discipline (stable handles, fixed label
 // order, sanitized values, bounded cardinality with an explicit overflow
-// series), deterministic Prometheus-style rendering, the live dump pump
-// riding the TimeSeries due-threshold hook, the host-side self-profiler,
-// the observe-only contract (an enabled plane changes no simulated
-// cycles), and the flight recorder's torn-slot-tolerant reader under
-// concurrent multi-core writers.
+// series), deterministic Prometheus-style rendering, the live exposition
+// rewrite riding the TimeSeries due-threshold hook, the host-side
+// self-profiler, the observe-only contract (registering labeled series
+// changes no simulated cycles), and the flight recorder's torn-slot-
+// tolerant reader under concurrent multi-core writers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,7 @@
 #include "obs/expose.h"
 #include "obs/flight.h"
 #include "obs/histogram.h"
-#include "obs/metrics.h"
+#include "obs/selfprof.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "workloads/httpd.h"
@@ -30,10 +30,9 @@
 namespace lz {
 namespace {
 
-using obs::CounterFamily;
-using obs::HistogramFamily;
 using obs::LabelKey;
 using obs::LabelSet;
+using obs::SeriesRef;
 using workload::AppConfig;
 using workload::HttpdParams;
 using workload::Mechanism;
@@ -49,6 +48,20 @@ class MetricsTest : public ::testing::Test {
 
   static std::string temp_path(const char* name) {
     return ::testing::TempDir() + name;
+  }
+
+  // Every registered series named `name`, in exposition order.
+  static std::vector<SeriesRef> series_of(std::string_view name) {
+    std::vector<SeriesRef> out;
+    for (const SeriesRef& s : obs::registry().series())
+      if (s.key->name == name) out.push_back(s);
+    return out;
+  }
+
+  static bool file_exists(const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    if (f) std::fclose(f);
+    return f != nullptr;
   }
 };
 
@@ -83,54 +96,52 @@ TEST_F(MetricsTest, LabelValuesAreSanitizedOnEntry) {
   EXPECT_NE(rendered.find("evil"), std::string::npos) << rendered;
 }
 
-// --- Families ----------------------------------------------------------------
+// --- Labeled series ----------------------------------------------------------
 
 TEST_F(MetricsTest, FamilyHandlesAreStableAndShared) {
-  CounterFamily& fam = obs::metrics().counter_family("test.requests");
-  EXPECT_EQ(&fam, &obs::metrics().counter_family("test.requests"));
-
   LabelSet a;
   a.set(LabelKey::kTenant, "a");
-  obs::Counter& series = fam.with(a);
-  EXPECT_EQ(&series, &fam.with(a));  // same labels -> same instrument
+  obs::Counter& series = obs::registry().counter("test.requests", a);
+  // Same name and labels -> same instrument.
+  EXPECT_EQ(&series, &obs::registry().counter("test.requests", a));
   series.add(3);
-  fam.with(a).add(2);
+  obs::registry().counter("test.requests", a).add(2);
 
-  const auto all = fam.series();
+  const auto all = series_of("test.requests");
   ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].inst->value(), 5u);
-  EXPECT_FALSE(all[0].overflow);
-  EXPECT_EQ(all[0].labels.get(LabelKey::kTenant), "a");
+  EXPECT_EQ(all[0].key->kind, obs::SeriesKind::kLabeledCounter);
+  EXPECT_EQ(all[0].counter->value(), 5u);
+  EXPECT_FALSE(all[0].key->overflow);
+  EXPECT_EQ(all[0].key->labels.get(LabelKey::kTenant), "a");
 }
 
 TEST_F(MetricsTest, FamilyCardinalityIsBounded) {
-  CounterFamily& fam = obs::metrics().counter_family("test.cardinality");
   for (std::size_t i = 0; i < obs::kMaxSeriesPerFamily + 5; ++i) {
     LabelSet labels;
     labels.set(LabelKey::kTenant, "tenant" + std::to_string(i));
-    fam.with(labels).add(1);
+    obs::registry().counter("test.cardinality", labels).add(1);
   }
-  EXPECT_EQ(fam.size(), obs::kMaxSeriesPerFamily);
-  EXPECT_EQ(fam.dropped_series(), 5u);
 
   // The five overflowing label-sets all folded into one shared series,
   // flagged and appended after the real (label-sorted) series.
-  const auto all = fam.series();
+  const auto all = series_of("test.cardinality");
   ASSERT_EQ(all.size(), obs::kMaxSeriesPerFamily + 1);
-  EXPECT_TRUE(all.back().overflow);
-  EXPECT_EQ(all.back().inst->value(), 5u);
+  EXPECT_FALSE(all[all.size() - 2].key->overflow);
+  EXPECT_TRUE(all.back().key->overflow);
+  EXPECT_EQ(all.back().folded, 5u);
+  EXPECT_EQ(all.back().counter->value(), 5u);
 }
 
 // --- Exposition --------------------------------------------------------------
 
 TEST_F(MetricsTest, ExpositionIsDeterministicAndSorted) {
-  obs::metrics().enable();
+  obs::registry().enable_labels();
   // Register in anti-alphabetical order; the exposition must sort.
   LabelSet b_labels, a_labels;
   b_labels.set(LabelKey::kTenant, "z");
   a_labels.set(LabelKey::kTenant, "a");
-  obs::metrics().counter_family("zz.family").with(b_labels).add(7);
-  obs::metrics().counter_family("aa.family").with(a_labels).add(1);
+  obs::registry().counter("zz.family", b_labels).add(7);
+  obs::registry().counter("aa.family", a_labels).add(1);
 
   const std::string once = obs::render_exposition();
   const std::string twice = obs::render_exposition();
@@ -145,13 +156,12 @@ TEST_F(MetricsTest, ExpositionIsDeterministicAndSorted) {
 }
 
 TEST_F(MetricsTest, ExpositionRendersHistogramSeries) {
-  obs::metrics().enable();
+  obs::registry().enable_labels();
   LabelSet labels;
   labels.set(LabelKey::kTenant, "w0");
   labels.set(LabelKey::kDomain, u64{4});
   obs::Histogram& h =
-      obs::metrics().histogram_family("lz.tenant.gate_switch_cycles")
-          .with(labels);
+      obs::registry().histogram("lz.tenant.gate_switch_cycles", labels);
   for (u64 v : {100, 200, 300, 400}) h.record(v);
 
   const std::string text = obs::render_exposition();
@@ -179,12 +189,11 @@ TEST_F(MetricsTest, ExpositionRendersHistogramSeries) {
 }
 
 TEST_F(MetricsTest, ExpositionFlagsOverflowSeries) {
-  obs::metrics().enable();
-  CounterFamily& fam = obs::metrics().counter_family("test.overflow");
+  obs::registry().enable_labels();
   for (std::size_t i = 0; i < obs::kMaxSeriesPerFamily + 1; ++i) {
     LabelSet labels;
     labels.set(LabelKey::kTenant, "t" + std::to_string(i));
-    fam.with(labels).add(1);
+    obs::registry().counter("test.overflow", labels).add(1);
   }
   const std::string text = obs::render_exposition();
   EXPECT_NE(text.find("test_overflow{overflow=\"true\"} 1\n"),
@@ -203,34 +212,32 @@ TEST_F(MetricsTest, EnabledPlaneChangesNoSimulatedCycles) {
   const auto counters_off = obs::registry().snapshot();
 
   obs::reset_all();
-  obs::metrics().enable();
+  obs::registry().enable_labels();
   const auto on = workload::run_httpd(config, params);
   const auto counters_on = obs::registry().snapshot();
 
   // Identical simulated work, identical counters — recording is free in
-  // simulated time even though the plane captured per-tenant series.
+  // simulated time even though the registry captured per-tenant series.
   EXPECT_EQ(on.cycles_per_request, off.cycles_per_request);
   EXPECT_EQ(counters_on, counters_off);
-  const auto series =
-      obs::metrics().counter_family("httpd.requests").series();
+  const auto series = series_of("httpd.requests");
   ASSERT_FALSE(series.empty());
-  EXPECT_EQ(series[0].inst->value(), 50u);
+  EXPECT_EQ(series[0].counter->value(), 50u);
 }
 
 // POE runs its domain switches through the same LzProc verb as TTBR, so an
-// armed plane sees them in the backend-labeled switch family.
+// --metrics-out run sees them in the backend-labeled switch series.
 TEST_F(MetricsTest, AppDriverPoeRecordsBackendSwitchCycles) {
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 10;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
                          Mechanism::kPoe, 42};
-  obs::metrics().enable();
+  obs::registry().enable_labels();
   (void)workload::run_httpd(config, params);
   u64 poe_switches = 0;
-  for (const auto& s :
-       obs::metrics().histogram_family("lz.backend.switch_cycles").series()) {
-    if (s.labels.render().find("backend=\"poe\"") != std::string::npos) {
-      poe_switches += s.inst->count();
+  for (const auto& s : series_of("lz.backend.switch_cycles")) {
+    if (s.key->labels.render().find("backend=\"poe\"") != std::string::npos) {
+      poe_switches += s.histogram->count();
     }
   }
   // 37 gated crypto calls per request, each a switch in and a switch out.
@@ -240,34 +247,30 @@ TEST_F(MetricsTest, AppDriverPoeRecordsBackendSwitchCycles) {
 TEST_F(MetricsTest, DisabledPlaneRecordsNothing) {
   // Registrations survive reset_all() (handles are stable for the process
   // lifetime), so gauge the disabled run by growth and value movement.
-  ASSERT_FALSE(obs::metrics().enabled());
-  const std::size_t requests_before =
-      obs::metrics().counter_family("httpd.requests").size();
+  ASSERT_FALSE(obs::registry().labels_enabled());
+  const std::size_t requests_before = series_of("httpd.requests").size();
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 10;
   const AppConfig config{&arch::Platform::cortex_a55(), Placement::kHost,
                          Mechanism::kLzPan, 42};
   (void)workload::run_httpd(config, params);
-  EXPECT_EQ(obs::metrics().counter_family("httpd.requests").size(),
-            requests_before);
-  for (const auto& s : obs::metrics().counter_family("httpd.requests")
-                           .series()) {
-    EXPECT_EQ(s.inst->value(), 0u);  // reset zeroed it; disabled run added 0
+  EXPECT_EQ(series_of("httpd.requests").size(), requests_before);
+  for (const auto& s : series_of("httpd.requests")) {
+    EXPECT_EQ(s.counter->value(), 0u);  // reset zeroed it; this run added 0
   }
-  for (const auto& s :
-       obs::metrics().histogram_family("httpd.request_cycles").series()) {
-    EXPECT_EQ(s.inst->count(), 0u);
+  for (const auto& s : series_of("httpd.request_cycles")) {
+    EXPECT_EQ(s.histogram->count(), 0u);
   }
 }
 
-// --- The dump pump -----------------------------------------------------------
+// --- Live exposition ---------------------------------------------------------
 
 TEST_F(MetricsTest, PumpRidesTheTimeSeriesHook) {
   const std::string path = temp_path("pump_exposition.prom");
-  obs::metrics().enable();
-  obs::timeseries().arm(/*period=*/5000);
-  obs::exposition_pump().arm(path);
-  ASSERT_TRUE(obs::exposition_pump().armed());
+  std::remove(path.c_str());
+  obs::registry().enable_labels();
+  obs::timeseries().arm(/*period=*/5000, obs::TimeSeries::kDefaultCapacity,
+                        path);
 
   HttpdParams params = HttpdParams::defaults(arch::Platform::cortex_a55());
   params.requests = 100;
@@ -276,8 +279,8 @@ TEST_F(MetricsTest, PumpRidesTheTimeSeriesHook) {
   (void)workload::run_httpd(config, params);
 
   // The workload burned well over one sampling period, so the sampler
-  // fired and each sample rewrote the snapshot file.
-  EXPECT_GT(obs::exposition_pump().dumps(), 0u);
+  // fired and each sample rewrote the snapshot file — nothing else wrote it.
+  EXPECT_GT(obs::timeseries().size(), 0u);
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char header[32] = {};
@@ -288,10 +291,10 @@ TEST_F(MetricsTest, PumpRidesTheTimeSeriesHook) {
 }
 
 TEST_F(MetricsTest, WriteExpositionRoundTripsDeterministically) {
-  obs::metrics().enable();
+  obs::registry().enable_labels();
   LabelSet labels;
   labels.set(LabelKey::kTenant, "t");
-  obs::metrics().counter_family("round.trip").with(labels).add(9);
+  obs::registry().counter("round.trip", labels).add(9);
   const std::string a = temp_path("expo_a.prom");
   const std::string b = temp_path("expo_b.prom");
   ASSERT_TRUE(obs::write_exposition(a));
@@ -346,24 +349,29 @@ TEST_F(MetricsTest, SelfProfilerAttributesEngineTiersDuringRuns) {
 // --- reset_all() -------------------------------------------------------------
 
 TEST_F(MetricsTest, ResetAllDisarmsAndZeroesThePlane) {
-  obs::metrics().enable();
+  const std::string probe = temp_path("reset_probe.prom");
+  std::remove(probe.c_str());
+  obs::registry().enable_labels();
   obs::selfprof().enable();
-  obs::exposition_pump().arm(temp_path("reset_probe.prom"));
+  obs::timeseries().arm(/*period=*/100, obs::TimeSeries::kDefaultCapacity,
+                        probe);
   LabelSet labels;
   labels.set(LabelKey::kTenant, "t");
-  obs::metrics().counter_family("reset.family").with(labels).add(5);
+  obs::registry().counter("reset.family", labels).add(5);
   obs::selfprof().add(obs::SelfTier::kObs, 10);
 
   obs::reset_all();
 
-  EXPECT_FALSE(obs::metrics().enabled());
+  EXPECT_FALSE(obs::registry().labels_enabled());
   EXPECT_FALSE(obs::selfprof().enabled());
-  EXPECT_FALSE(obs::exposition_pump().armed());
+  EXPECT_FALSE(obs::timeseries().armed());
   EXPECT_EQ(obs::selfprof().ticks(obs::SelfTier::kObs), 0u);
-  const auto series =
-      obs::metrics().counter_family("reset.family").series();
+  // The disarmed sampler no longer rewrites the exposition file.
+  obs::cycle_ledger().charge(0, 1000);
+  EXPECT_FALSE(file_exists(probe));
+  const auto series = series_of("reset.family");
   ASSERT_EQ(series.size(), 1u);  // registration survives, value is zeroed
-  EXPECT_EQ(series[0].inst->value(), 0u);
+  EXPECT_EQ(series[0].counter->value(), 0u);
 }
 
 // --- Flight recorder under concurrency ---------------------------------------

@@ -1,16 +1,20 @@
 // lz::obs — counters, event trace, and report serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mem/tlb.h"
 #include "obs/counters.h"
+#include "obs/expose.h"
 #include "obs/histogram.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
+#include "obs/ring.h"
 #include "obs/trace.h"
 #include "sim/cost.h"
 #include "workloads/microbench.h"
@@ -92,6 +96,94 @@ TEST_F(ObsTest, ResetZeroesValuesButKeepsHandles) {
   EXPECT_EQ(c.value(), 0u);  // same handle, zeroed
   c.add(2);
   EXPECT_EQ(obs::registry().find("test.reset.me")->value(), 2u);
+}
+
+// One registry, three views: an unlabeled counter, a labeled series and a
+// host counter each surface only in their own view, and reset_all() zeroes
+// all three and clears the labels flag.
+TEST_F(ObsTest, RegistryViewsKeepUnlabeledLabeledAndHostSeriesApart) {
+  obs::registry().enable_labels();
+  obs::LabelSet tenant;
+  tenant.set(obs::LabelKey::kTenant, "t0");
+  auto& plain = obs::registry().counter("test.view.plain");
+  auto& labeled = obs::registry().counter("test.view.labeled", tenant);
+  auto& host = obs::registry().host_counter("test.view.host");
+  plain.add(1);
+  labeled.add(2);
+  host.add(3);
+
+  const auto names = [](const Snapshot& snap) {
+    std::vector<std::string> out;
+    for (const auto& [name, value] : snap) out.push_back(name);
+    return out;
+  };
+  const auto has = [](const std::vector<std::string>& v, const char* name) {
+    return std::find(v.begin(), v.end(), name) != v.end();
+  };
+  const auto unlabeled = names(obs::registry().snapshot());
+  EXPECT_TRUE(has(unlabeled, "test.view.plain"));
+  EXPECT_FALSE(has(unlabeled, "test.view.labeled"));
+  EXPECT_FALSE(has(unlabeled, "test.view.host"));
+  const auto host_only = names(obs::registry().host_snapshot());
+  EXPECT_FALSE(has(host_only, "test.view.plain"));
+  EXPECT_FALSE(has(host_only, "test.view.labeled"));
+  EXPECT_TRUE(has(host_only, "test.view.host"));
+  EXPECT_EQ(obs::registry().find("test.view.labeled"), nullptr);
+  EXPECT_EQ(obs::registry().find("test.view.host"), nullptr);
+
+  // The exposition renders each in its own section: unlabeled counters,
+  // then labeled counters, then (after the summaries) host counters.
+  const std::string text = obs::render_exposition();
+  const auto at = [&](const char* line) {
+    const auto pos = text.find(line);
+    EXPECT_NE(pos, std::string::npos) << line << "\n" << text;
+    return pos;
+  };
+  const auto plain_at = at("\ntest_view_plain 1\n");
+  const auto labeled_at = at("\ntest_view_labeled{tenant=\"t0\"} 2\n");
+  const auto host_at = at("\ntest_view_host 3\n");
+  EXPECT_LT(plain_at, labeled_at);
+  EXPECT_LT(labeled_at, host_at);
+  EXPECT_EQ(text.find("test_view_labeled 2"), std::string::npos);
+
+  obs::reset_all();
+  EXPECT_FALSE(obs::registry().labels_enabled());
+  EXPECT_EQ(plain.value(), 0u);
+  EXPECT_EQ(labeled.value(), 0u);
+  EXPECT_EQ(host.value(), 0u);
+}
+
+// --- The shared ring ---------------------------------------------------------
+
+TEST_F(ObsTest, SharedRingWrapsOldestFirstAndCountsDrops) {
+  obs::Ring<int> ring;
+  EXPECT_FALSE(ring.push(1));  // never reset: capacity 0 ignores pushes
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_TRUE(ring.items().empty());
+
+  ring.reset(3);
+  EXPECT_EQ(ring.capacity(), 3u);
+  for (int v = 0; v < 3; ++v) EXPECT_FALSE(ring.push(v));
+  EXPECT_EQ(ring.items(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(ring.dropped(), 0u);
+  // Wraparound: each push past capacity overwrites the oldest entry.
+  for (int v = 3; v < 8; ++v) EXPECT_TRUE(ring.push(v));
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.dropped(), 5u);
+  EXPECT_EQ(ring.items(), (std::vector<int>{5, 6, 7}));
+
+  ring.clear();  // keeps the capacity, drops entries and the drop count
+  EXPECT_EQ(ring.capacity(), 3u);
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.dropped(), 0u);
+  ring.push(9);
+  EXPECT_EQ(ring.items(), (std::vector<int>{9}));
+
+  ring.reset(0);  // the one arm(0) rule: clamp to a single slot
+  EXPECT_EQ(ring.capacity(), 1u);
+  ring.push(1);
+  EXPECT_TRUE(ring.push(2));
+  EXPECT_EQ(ring.items(), (std::vector<int>{2}));
 }
 
 // --- CycleLedger mirror ------------------------------------------------------
@@ -313,7 +405,7 @@ TEST_F(ObsTest, V2ReportRoundTripsWithHistogramsAndProfile) {
   report.add_result("r", u64{1});
   report.set_cycles_total(obs::cycle_ledger().total());
   report.add_counters(obs::registry().snapshot());
-  report.add_histograms(obs::histograms().snapshot());
+  report.add_histograms(obs::registry().histogram_snapshot());
   report.set_profile(obs::profiler());
   obs::profiler().disarm();
 

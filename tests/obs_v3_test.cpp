@@ -132,6 +132,18 @@ TEST_F(ObsV3Test, DepthOverflowDropsInsteadOfCorrupting) {
   EXPECT_EQ(obs::spans().max_depth(), obs::SpanTracer::kMaxDepth);
 }
 
+TEST_F(ObsV3Test, SpanRingWrapsAndCountsDrops) {
+  obs::spans().arm(4);
+  for (u64 i = 0; i < 10; ++i) { SpanScope s(SpanKind::kGateSwitch, i); }
+  EXPECT_EQ(obs::spans().completed(), 10u);
+  EXPECT_EQ(obs::spans().size(), 4u);
+  EXPECT_EQ(obs::spans().dropped(), 6u);
+  // Oldest-first: the survivors are the last four completed spans.
+  const auto events = obs::spans().events();
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].arg, 6u + i);
+}
+
 TEST_F(ObsV3Test, AdoptEstablishesAmbientParentForRootSpans) {
   obs::spans().arm(16);
   {
@@ -259,7 +271,7 @@ TEST_F(ObsV3Test, DisarmedTimeSeriesNeverSamples) {
 
 TEST_F(ObsV3Test, ChargesCrossingThePeriodTakeSamples) {
   obs::registry().counter("test.ts.marker").add(5);
-  obs::histograms().histogram("test.ts.hist").record(77);
+  obs::registry().histogram("test.ts.hist").record(77);
   obs::timeseries().arm(1000);
   sim::CycleAccount account;
   for (int i = 0; i < 25; ++i) account.charge(sim::CostKind::kInsn, 100);
@@ -321,7 +333,7 @@ TEST_F(ObsV3Test, ReportEmitsTimeseriesAndSpanSections) {
   report.add_result("r", u64{1});
   report.set_cycles_total(obs::cycle_ledger().total());
   report.add_counters(obs::registry().snapshot());
-  report.add_histograms(obs::histograms().snapshot());
+  report.add_histograms(obs::registry().histogram_snapshot());
   report.set_timeseries(obs::timeseries());
   report.set_spans(obs::spans());
 
@@ -457,14 +469,14 @@ TEST_F(ObsV3Test, SmpRunRecordsHvcForwardAndDvmShootdownHistograms) {
   env.kern().schedule();
 
   const obs::Histogram* hvc =
-      obs::histograms().find("lz.hvc.forward_cycles");
+      obs::registry().find_histogram("lz.hvc.forward_cycles");
   ASSERT_NE(hvc, nullptr);
   // 16 forwarded empty syscalls + exit per core.
   EXPECT_GE(hvc->count(), u64{kCores} * 17) << hvc->count();
   EXPECT_GT(hvc->percentile(99.0), 0u);
 
   const obs::Histogram* dvm =
-      obs::histograms().find("sim.dvm.shootdown_cycles");
+      obs::registry().find_histogram("sim.dvm.shootdown_cycles");
   ASSERT_NE(dvm, nullptr);
   EXPECT_GT(dvm->count(), 0u);
   // Every broadcast on a 4-core machine snoops 3 remote cores, so the
