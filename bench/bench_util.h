@@ -19,10 +19,6 @@
 //   --ts-period <N>         time-series sampling period in simulated
 //                           cycles (0 = off); adds the "timeseries"
 //                           report section
-//   --no-trace-tier         disable the superblock trace tier for this run
-//                           (pure interpreter; A/B baseline for the tier's
-//                           speedup — simulated results are identical by
-//                           contract, only host MIPS move)
 //   --metrics-out <path>    register the labeled (per-tenant) series and
 //                           write the Prometheus-style text exposition at
 //                           finish(); with --ts-period every time-series
@@ -44,6 +40,12 @@
 //                           every golden byte-identical), poe, cca,
 //                           watchpoint, or lwc (cost-model backends)
 //
+// --cores sizes the live module's SMP machine, so it cannot be combined
+// with a cost-model --backend (exit 2 rather than dropping --cores).
+// The superblock trace tier is switched off for a whole run with the
+// environment variable LZ_TRACE_TIER=0 (pure interpreter; simulated
+// results are identical by contract, only host MIPS move).
+//
 // Anything else — an unknown flag, a workload flag the binary does not
 // read, a positional argument — is an error: the binary prints the
 // offender to stderr and exits 2, so a typo can never silently run the
@@ -60,6 +62,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -80,7 +83,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/cost.h"
-#include "sim/trace_cache.h"
 
 namespace lz::bench {
 
@@ -105,7 +107,6 @@ struct ObsOptions {
   u64 iters = 1;       // --iters K: workload scale factor
   // --backend B: which IsolationBackend the bench evaluates.
   core::BackendKind backend = core::BackendKind::kTtbrPan;
-  bool no_trace_tier = false;  // --no-trace-tier: interpreter-only A/B leg
   // --metrics-out F: register labeled series, write the exposition to F.
   std::string metrics_path;
   bool self_profile = false;  // --self-profile: host.self.* tick brackets
@@ -126,7 +127,6 @@ inline void print_bench_usage(const char* argv0, unsigned accepted,
       "(default %llu, 0 = off)\n"
       "  --ts-period <N>        time-series sampling period, simulated "
       "cycles (0 = off)\n"
-      "  --no-trace-tier        interpreter only (A/B: tier speedup)\n"
       "  --metrics-out <path>   per-tenant series; write Prometheus-style\n"
       "                         exposition (rewritten at every --ts-period\n"
       "                         sample, so a running bench can be scraped)\n"
@@ -146,8 +146,15 @@ inline void print_bench_usage(const char* argv0, unsigned accepted,
     std::fprintf(out,
                  "  --backend <B>          ttbr_pan (default) | poe | cca | "
                  "watchpoint | lwc\n");
+    if (accepted & kCoresFlag) {
+      std::fprintf(out,
+                   "                         (--cores needs ttbr_pan)\n");
+    }
   }
-  std::fprintf(out, "  --help, -h             this text\n");
+  std::fprintf(out,
+               "  --help, -h             this text\n"
+               "  LZ_TRACE_TIER=0        (environment) interpreter only "
+               "(A/B: tier speedup)\n");
 }
 
 // Parses argv against the shared flag set plus the workload flags in
@@ -180,10 +187,6 @@ inline ObsOptions parse_bench_flags(int argc, char** argv, unsigned accepted) {
       }
       return false;
     };
-    if (arg == "--no-trace-tier") {
-      opts.no_trace_tier = true;
-      continue;
-    }
     if (arg == "--self-profile") {
       opts.self_profile = true;
       continue;
@@ -230,6 +233,9 @@ inline ObsOptions parse_bench_flags(int argc, char** argv, unsigned accepted) {
     if (!kind) die("unknown backend", backend_str);
     opts.backend = *kind;
   }
+  if (opts.cores > 0 && opts.backend != core::BackendKind::kTtbrPan) {
+    die("--cores needs the ttbr_pan backend, got --backend", backend_str);
+  }
   return opts;
 }
 
@@ -248,10 +254,6 @@ class ObsSession {
       : opts_(parse_bench_flags(argc, argv, accepted)),
         report_(std::move(bench_name)) {
     obs::reset_all();
-    // Applies to every core constructed after this point — the bench
-    // builds its machines inside the session, so the whole run is A/B
-    // switchable from the command line (LZ_TRACE_TIER=0 works too).
-    if (opts_.no_trace_tier) sim::set_trace_tier_default(false);
     if (!opts_.trace_path.empty()) {
       obs::trace().arm(kTraceCapacity);
       obs::spans().arm(kTraceCapacity);
@@ -411,6 +413,13 @@ inline void record(std::string key, u64 value) {
 // Repeated-measurement hook: mean under `key`, plus `.min`/`.median`.
 inline void record_stats(const std::string& key, std::vector<double> values) {
   if (auto* s = ObsSession::instance()) s->add_stats(key, std::move(values));
+}
+
+// Report-key slug of a printed row label: "Carmel Host" -> "carmel_host".
+inline std::string slug_of(const char* label) {
+  std::string s(label);
+  for (char& c : s) c = c == ' ' ? '_' : static_cast<char>(std::tolower(c));
+  return s;
 }
 
 }  // namespace lz::bench

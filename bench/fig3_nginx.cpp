@@ -2,7 +2,6 @@
 // Watchpoint, and simulated-lwC Nginx (1 worker, 1 KB HTTPS file) on
 // Carmel Host/Guest and Cortex Host/Guest, across client concurrency —
 // plus the §9.1 memory-overhead numbers.
-#include <cctype>
 #include <cstdio>
 #include <string>
 
@@ -14,6 +13,7 @@ namespace {
 
 using namespace lz;
 using namespace lz::workload;
+using bench::slug_of;
 
 constexpr Mechanism kMechs[] = {Mechanism::kNone, Mechanism::kLzPan,
                                 Mechanism::kLzTtbr, Mechanism::kWatchpoint,
@@ -38,12 +38,6 @@ const Combo kCombos[] = {
     {&arch::Platform::cortex_a55(), Placement::kGuest, "Cortex Guest",
      {1.98, 2.03, 6.04, 21.24}},
 };
-
-std::string slug_of(const char* label) {
-  std::string s(label);
-  for (char& c : s) c = c == ' ' ? '_' : static_cast<char>(std::tolower(c));
-  return s;
-}
 
 void print_fig3() {
   std::printf(

@@ -2,7 +2,6 @@
 // Watchpoint, and simulated-lwC MySQL (sysbench OLTP read-write, 10 tables
 // x 10,000 records) across client thread counts on Carmel Host/Guest and
 // Cortex Host/Guest — plus the §9.2 memory-overhead numbers.
-#include <cctype>
 #include <cstdio>
 #include <string>
 
@@ -13,6 +12,7 @@ namespace {
 
 using namespace lz;
 using namespace lz::workload;
+using bench::slug_of;
 
 constexpr Mechanism kMechs[] = {Mechanism::kNone, Mechanism::kLzPan,
                                 Mechanism::kLzTtbr, Mechanism::kWatchpoint,
@@ -36,12 +36,6 @@ const Combo kCombos[] = {
     {&arch::Platform::cortex_a55(), Placement::kGuest, "Cortex Guest",
      {0.9, 2.35, 1.18, 5.47}},
 };
-
-std::string slug_of(const char* label) {
-  std::string s(label);
-  for (char& c : s) c = c == ' ' ? '_' : static_cast<char>(std::tolower(c));
-  return s;
-}
 
 void print_fig4() {
   std::printf(

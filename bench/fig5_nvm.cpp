@@ -2,7 +2,6 @@
 // simulated lwC on the NVM data-structure benchmark (2 MB buffers,
 // fixed-complexity substring searches), for varying domain counts, on
 // Carmel Host/Guest and Cortex Host/Guest — plus the §9.3 memory numbers.
-#include <cctype>
 #include <cstdio>
 #include <string>
 
@@ -13,6 +12,7 @@ namespace {
 
 using namespace lz;
 using namespace lz::workload;
+using bench::slug_of;
 
 struct Combo {
   const arch::Platform* plat;
@@ -31,12 +31,6 @@ const Combo kCombos[] = {
     {&arch::Platform::cortex_a55(), Placement::kGuest, "Cortex Guest", 0.20,
      3.76},
 };
-
-std::string slug_of(const char* label) {
-  std::string s(label);
-  for (char& c : s) c = c == ' ' ? '_' : static_cast<char>(std::tolower(c));
-  return s;
-}
 
 void print_fig5() {
   std::printf(

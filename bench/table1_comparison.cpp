@@ -33,10 +33,14 @@ void print_table1() {
 
   // Live evidence on the Cortex-A55 model, host placement.
   const auto& plat = arch::Platform::cortex_a55();
-  const double lz2 = lz_switch_avg_cycles(plat, Placement::kHost, 2, 2000);
-  const double lz128 =
-      lz_switch_avg_cycles(plat, Placement::kHost, 128, 2000);
-  const double pan = lz_switch_avg_cycles(plat, Placement::kHost, 1, 2000);
+  const auto lz = [&plat](int domains) {
+    return switch_avg_cycles(core::BackendKind::kTtbrPan, plat,
+                             Placement::kHost, domains, 2000)
+        .avg_cycles;
+  };
+  const double lz2 = lz(2);
+  const double lz128 = lz(128);
+  const double pan = lz(1);
   const double wp = watchpoint_switch_avg_cycles(plat, Placement::kHost, 3,
                                                  1000);
   const double lwc = lwc_switch_avg_cycles(plat, Placement::kHost, 3, 1000);

@@ -20,7 +20,9 @@ void print_row_lz(const char* label, const char* slug,
                   const arch::Platform& plat, Placement placement) {
   std::printf("  %-13s %-11s", label, "LightZone");
   for (const int domains : {1, 2, 3, 32, 64, 128}) {
-    const double avg = lz_switch_avg_cycles(plat, placement, domains, kIters);
+    const double avg = switch_avg_cycles(lz::core::BackendKind::kTtbrPan, plat,
+                                         placement, domains, kIters)
+                           .avg_cycles;
     std::printf(" %8.0f", avg);
     bench::record(std::string(slug) + ".lz." + std::to_string(domains), avg);
   }
@@ -110,11 +112,14 @@ void print_table5() {
       "\nAblation: per-page-table ASIDs off (TLB invalidated on every TTBR "
       "switch, Section 4.1.2):\n");
   for (const int domains : {2, 32, 128}) {
-    const double tagged = lz_switch_avg_cycles(
-        arch::Platform::cortex_a55(), Placement::kHost, domains, kIters);
-    const double flushed = lz_switch_avg_cycles(
-        arch::Platform::cortex_a55(), Placement::kHost, domains, kIters, 42,
-        /*asid_tags=*/false);
+    const auto run = [domains](bool asid_tags) {
+      return switch_avg_cycles(lz::core::BackendKind::kTtbrPan,
+                               arch::Platform::cortex_a55(), Placement::kHost,
+                               domains, kIters, 42, asid_tags)
+          .avg_cycles;
+    };
+    const double tagged = run(true);
+    const double flushed = run(false);
     std::printf("  Cortex, %3d domains: %7.0f cycles tagged, %7.0f flushed\n",
                 domains, tagged, flushed);
     bench::record("ablation.asid_tagged." + std::to_string(domains), tagged);
@@ -133,7 +138,7 @@ void print_table5_smp(unsigned cores) {
   std::printf("Table 5 (SMP): per-core switch cost, %u cores, Cortex-A55 "
               "host\n\n", cores);
   for (const int domains : {2, 32, 128}) {
-    const auto stats = lz_switch_avg_cycles_smp(
+    const auto stats = switch_avg_cycles_smp(
         arch::Platform::cortex_a55(), Placement::kHost, cores, domains,
         kIters);
     std::printf("  %3d domains:\n", domains);
@@ -154,7 +159,7 @@ void print_table5_smp(unsigned cores) {
 }
 
 // --backend B (B != ttbr_pan): the same Table-5 program driven through the
-// chosen IsolationBackend's verbs instead of the live module. Watchpoint's
+// chosen cost-model IsolationBackend instead of the live module. Watchpoint's
 // four DBGW pairs cap it at 16 domains, so its sweep stops there; POE and
 // CCA rows also record their mechanism-specific totals (key recycles and
 // shootdown pages; GPT walks and delegations) so lz_report can diff the
@@ -166,8 +171,7 @@ void print_backend_row(lz::core::BackendKind kind, const char* label,
   const std::string name = lz::core::to_string(kind);
   std::printf("  %-13s %-11s", label, name.c_str());
   for (const int domains : domain_sets) {
-    const auto r =
-        backend_switch_avg_cycles(kind, plat, placement, domains, kIters);
+    const auto r = switch_avg_cycles(kind, plat, placement, domains, kIters);
     std::printf(" %8.0f", r.avg_cycles);
     const std::string base =
         "backend." + name + "." + slug + "." + std::to_string(domains);
@@ -214,8 +218,10 @@ void print_seed_stability() {
   std::printf("Seed stability (Cortex host, 2 domains):");
   for (const u64 seed : {42, 43, 44}) {
     const double avg =
-        lz_switch_avg_cycles(arch::Platform::cortex_a55(), Placement::kHost,
-                             /*domains=*/2, kIters, seed);
+        switch_avg_cycles(lz::core::BackendKind::kTtbrPan,
+                          arch::Platform::cortex_a55(), Placement::kHost,
+                          /*domains=*/2, kIters, seed)
+            .avg_cycles;
     std::printf(" seed%llu=%.0f", static_cast<unsigned long long>(seed), avg);
     per_seed.push_back(avg);
   }
@@ -229,8 +235,8 @@ int main(int argc, char** argv) {
   lz::bench::ObsSession obs("table5_switch", argc, argv,
                             lz::bench::kBackendFlag | lz::bench::kCoresFlag);
   if (obs.backend() != lz::core::BackendKind::kTtbrPan) {
-    // Per-backend mode: the default (ttbr_pan) path below stays untouched
-    // so its goldens remain byte-identical.
+    // Per-backend mode: one sweep per placement through the cost model,
+    // with the mechanism's own totals.
     print_table5_backend(obs.backend());
   } else if (obs.cores() > 0) {
     print_table5_smp(obs.cores());

@@ -293,10 +293,10 @@ void report_backend_switch(lz::core::BackendKind kind, u64 scale,
               "host\n\n",
               name.c_str(), domains);
   std::vector<double> mops_v, wall_v;
-  workload::BackendSwitchResult last;
+  workload::SwitchResult last;
   for (unsigned rep = 0; rep < repeats; ++rep) {
     const double t0 = now_s();
-    const auto r = workload::backend_switch_avg_cycles(
+    const auto r = workload::switch_avg_cycles(
         kind, arch::Platform::cortex_a55(), workload::Placement::kHost,
         domains, iters);
     const double wall = now_s() - t0;

@@ -65,9 +65,10 @@ build/bench/lz_report "$v2_a" "$v2_b" \
 build/bench/lz_report BENCH_table5_v2.json "$v2_b" \
   --require-sim-identical >/dev/null
 
-# Paper-figure goldens: each checked-in fig3/fig4/fig5 report was produced
-# by the listed command, and a fresh run must reproduce every simulated
-# byte of it (the "host" section is the one allowed difference).
+# Paper goldens: each checked-in report was produced by the listed command
+# (Table 4, the 4-core and per-backend Table-5 programs, Figures 3-5), and
+# a fresh run must reproduce every simulated byte of it (the "host" section
+# is the one allowed difference).
 golden_leg() {
   local golden=$1 out=/tmp/${1%.json}.new.json
   shift
@@ -75,6 +76,12 @@ golden_leg() {
   "$@" --json "$out" >/dev/null
   build/bench/lz_report "$golden" "$out" --require-sim-identical >/dev/null
 }
+golden_leg BENCH_table4_v2.json build/bench/table4_traps
+golden_leg BENCH_table5_cores4_v2.json build/bench/table5_switch --cores 4
+for backend in poe cca watchpoint lwc; do
+  golden_leg "BENCH_table5_${backend}_v2.json" build/bench/table5_switch \
+    --backend "$backend"
+done
 golden_leg BENCH_fig3_v2.json build/bench/fig3_nginx
 golden_leg BENCH_fig3_cores4_v2.json build/bench/fig3_nginx --cores 4
 golden_leg BENCH_fig3_poe_v2.json build/bench/fig3_nginx --backend poe
@@ -95,6 +102,11 @@ build/bench/lz_report BENCH_table5_v2.json "$v2_a" \
 # cannot be written fails the run (exit 1).
 expect_exit 2 build/bench/table5_switch --no-such-flag
 expect_exit 2 build/bench/fig4_mysql --backend poe
+# --cores sizes the live module's SMP machine only; the cost-model backends
+# have no SMP run, so the pair is refused instead of dropping --cores.
+expect_exit 2 build/bench/table5_switch --backend poe --cores 4
+expect_exit 2 build/bench/fig3_nginx --backend cca --cores 2
+expect_exit 2 build/bench/throughput --backend poe --cores 8
 # A numeric value must be a whole non-negative decimal in range: trailing
 # characters, letters and a sign (which strtoull would silently wrap) all
 # exit 2 instead of running with a garbled value.

@@ -42,26 +42,15 @@ struct Stream {
   u64 skipped = 0;
 };
 
-void fuzz_stream(const FuzzConfig& cfg, Env& env, Stream& st, unsigned s,
-                 unsigned core_id) {
-  auto& machine = *env.machine;
+void fuzz_stream(const FuzzConfig& cfg, Stream& st, unsigned s) {
   auto& lz = *st.lz;
   auto& shadow = *st.shadow;
   const bool live = cfg.backend == core::BackendKind::kTtbrPan;
 
-  if (live) {
-    // The live module executes real gate code at EL1 in the process's own
-    // translation regime; the model backends only charge the clock, so
-    // they need no world entry or register state.
-    auto& module = lz.module();
-    auto& ctx = lz.ctx();
-    auto& core = machine.core(core_id);
-    lz.enter_world();
-    core.pstate().el = arch::ExceptionLevel::kEl1;
-    core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-    core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-    core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-  }
+  // The live module executes real gate code at EL1 in the process's own
+  // translation regime; the model backends only charge the clock, so
+  // they need no world entry or register state.
+  if (live) lz.enter_world();
 
   // Stream-indexed seed: the op sequence must not depend on which core (or
   // how many cores) the stream lands on.
@@ -198,8 +187,8 @@ FuzzResult run_table2_fuzz(const FuzzConfig& cfg) {
   // Concurrent phase: streams sharing a core queue behind each other on
   // that core's worker; streams on different cores really run in parallel.
   for (unsigned s = 0; s < streams; ++s) {
-    env.kern().run_on(s % cfg.cores, [&cfg, &env, &ss, s](unsigned core_id) {
-      fuzz_stream(cfg, env, ss[s], s, core_id);
+    env.kern().run_on(s % cfg.cores, [&cfg, &ss, s](unsigned) {
+      fuzz_stream(cfg, ss[s], s);
     });
   }
   env.kern().schedule();

@@ -756,6 +756,14 @@ void LzModule::enter_world(LzContext& ctx) {
   obs::trace().world_switch(obs::WorldKind::kLzEnter, ctx.vmid);
   core.set_handler(ExceptionLevel::kEl1, nullptr);  // stub owns EL1 vectors
   host_.push_delegate(this);
+  // The core now runs the process at EL1 on its default domain table,
+  // with the stub's TTBR1 mapping and vectors: where callers that drive
+  // gate switches directly expect it. run() loads the saved context over
+  // these registers right after. set_sysreg charges nothing.
+  core.pstate().el = ExceptionLevel::kEl1;
+  core.set_sysreg(SysReg::kTtbr0El1, domain_ttbr(ctx, 0));
+  core.set_sysreg(SysReg::kTtbr1El1, ctx.ctx.ttbr1);
+  core.set_sysreg(SysReg::kVbarEl1, ctx.ctx.vbar);
   w.active = &ctx;
   const Cycles enter_delta = machine().account().total() - start;
   lz_hists().world_switch.record(enter_delta);

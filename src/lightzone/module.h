@@ -187,6 +187,8 @@ class LzModule : public hv::TrapDelegate {
 
   // World management for fine-grained driving (benchmarks). Worlds are
   // per core: each core may have its own LightZone process entered.
+  // enter_world leaves the calling core at EL1 with TTBR0 on the default
+  // domain table (domain_ttbr(ctx, 0)) and the stub's TTBR1 and VBAR.
   void enter_world(LzContext& ctx);
   void exit_world(LzContext& ctx);
   LzContext* active() { return world().active; }

@@ -11,15 +11,17 @@
 // Pre-summing `pending_l0_hits_ += n`, `pending_insn_ += n` and
 // `pending_insn_cycles_ += t.cycles` at block entry is therefore
 // byte-identical to stepping the block, and data accesses go through the
-// very same translate()/PhysMem path the interpreter uses. The only
-// mid-block surprise is a faulting load/store; trace_ldst() rolls the
-// unexecuted remainder back before raising, leaving exactly ops [0, i]
-// counted — the interpreter, too, counts a faulting instruction as
-// retired before execute() runs.
+// very same translate()/PhysMem path the interpreter uses. A load/store
+// can break the premise mid-block: it faults, it stores into the block's
+// own code page, or its refill/promotion moves the generation (and may
+// have evicted the block's fetch translation, making the next fetch an
+// L2 hit). trace_ldst() then rolls the unexecuted remainder back, leaving
+// exactly ops [0, i] counted — the interpreter, too, counts a faulting
+// instruction as retired before execute() runs — and the interpreter
+// finishes the block.
 #include "sim/trace_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -35,11 +37,6 @@ using arch::Insn;
 using arch::Op;
 
 namespace {
-
-std::atomic<bool> g_trace_tier_default{[] {
-  const char* v = std::getenv("LZ_TRACE_TIER");
-  return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-}()};
 
 constexpr bool is_terminal(TraceOpKind k) { return k >= TraceOpKind::kB; }
 
@@ -222,11 +219,11 @@ Cycles trace_cycle_bound(const arch::Platform& plat, const Trace& t) {
 }  // namespace
 
 bool trace_tier_default() {
-  return g_trace_tier_default.load(std::memory_order_relaxed);
-}
-
-void set_trace_tier_default(bool on) {
-  g_trace_tier_default.store(on, std::memory_order_relaxed);
+  static const bool on = [] {
+    const char* v = std::getenv("LZ_TRACE_TIER");
+    return !(v != nullptr && v[0] == '0' && v[1] == '\0');
+  }();
+  return on;
 }
 
 unsigned TraceCache::invalidate_page(PhysAddr ppage) {
@@ -576,32 +573,38 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
     return false;
   }
   pending_mem_cycles_ += plat_.mem_access;
+  bool own_page_store = false;
   if (!store) {
     u64 v = pm_.read(tr.pa, op.size);
     if (op.flags & kTrSignExt) {
       v = static_cast<u64>(sign_extend(v, op.size * 8));
     }
     set_x(op.rd, v);
-    return true;
+  } else {
+    pm_.write(tr.pa, op.size, x(op.rd));
+    own_page_store = page_floor(tr.pa) == t.ppage;
   }
-  pm_.write(tr.pa, op.size, x(op.rd));
-  if (page_floor(tr.pa) == t.ppage) {
-    // Store into the trace's own code page. This op is complete, but the
-    // words after it may be stale now: roll the remainder back and hand
-    // the rest of the block to the interpreter, which re-reads live words.
-    const u64 rest = u64{t.n} - i - 1;
-    pending_insn_ -= rest;
-    pending_l0_hits_ -= rest;
-    pending_insn_cycles_ -= t.cycles - op.cyc;
-    pc_ = insn_pc + 4;
+  // This op is complete, but the pre-sums for the ops after it hold only
+  // while the block's fetches stay L1 hits on unchanged words. A refill or
+  // promotion by this access (or a remote shootdown) may have moved the
+  // Tlb generation and evicted the fetch translation from the micro-TLB,
+  // and a store into the trace's own code page may have made the words
+  // after it stale. Either way roll the remainder back and hand the rest
+  // of the block to the interpreter, which fetches and re-reads live.
+  if (!own_page_store && tlb_.generation() == t.tlb_gen) return true;
+  const u64 rest = u64{t.n} - i - 1;
+  pending_insn_ -= rest;
+  pending_l0_hits_ -= rest;
+  pending_insn_cycles_ -= t.cycles - op.cyc;
+  pc_ = insn_pc + 4;
+  if (own_page_store) {
     t.valid = false;
     ++tstats_.invalidated_smc;
     TraceCache::Slot& s = tcache_.slot(t.start_va);
     s.defer = s.defer != 0 ? static_cast<u16>(std::min(s.defer * 2, 256))
                            : u16{2};
-    return false;
   }
-  return true;
+  return false;
 }
 
 void Core::trace_publish_stats() {

@@ -3,14 +3,12 @@
 #include <algorithm>
 
 #include "baselines/backends.h"
-#include "sim/assembler.h"
 
 namespace lz::workload {
 
 using arch::ExceptionLevel;
 using core::Env;
 using core::LzProc;
-using sim::CostKind;
 
 const char* to_string(Mechanism mech) {
   switch (mech) {
@@ -24,54 +22,6 @@ const char* to_string(Mechanism mech) {
   }
   return "?";
 }
-
-namespace {
-
-// Marginal empty-syscall cost for this configuration, measured by
-// differencing two unrolled runs (the same method the Table 4 calibration
-// validates against the paper).
-Cycles measure_marginal_syscall(const AppConfig& config, bool lightzone) {
-  const auto placement = config.placement == Placement::kHost
-                             ? Env::Placement::kHost
-                             : Env::Placement::kGuest;
-  const auto run = [&](unsigned n) -> Cycles {
-    Env env(Env::Options()
-                .platform(*config.platform)
-                .placement(placement)
-                .seed(config.seed));
-    auto& proc = env.new_process();
-    sim::Asm a;
-    for (unsigned i = 0; i < n; ++i) {
-      a.movz(8, kernel::nr::kEmpty);
-      a.svc(0);
-    }
-    a.movz(8, kernel::nr::kExit);
-    a.svc(0);
-    for (u64 off = 0; off < a.size_bytes(); off += kPageSize) {
-      LZ_CHECK_OK(env.kern().populate_page(
-          proc, Env::kCodeVa + off, kernel::kProtRead | kernel::kProtExec));
-    }
-    const auto walk = proc.pgt().lookup(Env::kCodeVa);
-    a.install(env.machine->mem(), page_floor(walk.out_addr));
-
-    const Cycles start = env.machine->cycles();
-    if (lightzone) {
-      LzProc lz = LzProc::enter(*env.module, proc, true, 1);
-      lz.run(100'000'000);
-    } else if (config.placement == Placement::kHost) {
-      env.host->run_user_process(proc, 100'000'000);
-    } else {
-      env.vm->run_user_process(proc, 100'000'000);
-    }
-    LZ_CHECK(!proc.alive() && proc.kill_reason().empty());
-    return env.machine->cycles() - start;
-  };
-  const Cycles c1 = run(32);
-  const Cycles c2 = run(96);
-  return (c2 - c1) / 64;
-}
-
-}  // namespace
 
 std::optional<LzProc> enter_isolation(Mechanism mech, Env& env,
                                       kernel::Process& proc) {
@@ -118,13 +68,8 @@ void setup_process_domains(Env& env, kernel::Process& proc, Mechanism mech,
   }
 
   if (mech == Mechanism::kLzPan || mech == Mechanism::kLzTtbr) {
-    auto& ctx = lz->ctx();
     lz->enter_world();
-    core.pstate().el = ExceptionLevel::kEl1;
     if (mech == Mechanism::kLzPan) core.pstate().pan = true;
-    core.set_sysreg(sim::SysReg::kTtbr0El1, lz->module().domain_ttbr(ctx, 0));
-    core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-    core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
     return;
   }
   // The slots live inside the process's heap VMA: back them with frames
@@ -155,15 +100,14 @@ Cycles lz_exit_domain(LzProc& lz, Mechanism mech) {
 }
 
 AppDriver::AppDriver(const AppConfig& config) : config_(config) {
-  env_ = std::make_unique<Env>(Env::Options()
-                                   .platform(*config.platform)
-                                   .placement(config.placement ==
-                                                      Placement::kHost
-                                                  ? Env::Placement::kHost
-                                                  : Env::Placement::kGuest)
-                                   .seed(config.seed));
+  const auto opts = Env::Options()
+                        .platform(*config.platform)
+                        .placement(config.placement)
+                        .seed(config.seed);
+  env_ = std::make_unique<Env>(opts);
   proc_ = &env_->new_process();
-  syscall_cost_ = measure_marginal_syscall(config, is_lz());
+  // The Table-4 probe, at shorter run lengths.
+  syscall_cost_ = marginal_syscall_cycles(opts, is_lz(), 32, 96);
   lz_ = enter_isolation(config_.mech, *env_, *proc_);
   if (config_.mech == Mechanism::kWatchpoint) {
     wp_ = std::make_unique<baseline::WatchpointIsolation>(*env_->host,

@@ -171,9 +171,7 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
 
   Env env(Env::Options()
               .platform(*config.platform)
-              .placement(config.placement == Placement::kHost
-                             ? Env::Placement::kHost
-                             : Env::Placement::kGuest)
+              .placement(config.placement)
               .cores(cores)
               .seed(config.seed));
   auto& machine = *env.machine;

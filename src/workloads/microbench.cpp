@@ -43,43 +43,48 @@ void install_code(Env& env, kernel::Process& proc, Asm& a) {
 }
 
 // Marginal cost per syscall measured by differencing two run lengths (the
-// process setup, demand faults and exit path cancel out).
+// process setup, demand faults and exit path cancel out). Each run gets a
+// fresh scenario, built and torn down before the next one starts.
 template <typename RunFn>
-Cycles marginal_cost(Env& env1, Env& env2, unsigned n1, unsigned n2,
+Cycles marginal_cost(const Env::Options& opts, unsigned n1, unsigned n2,
                      RunFn&& run) {
-  const Cycles c1 = run(env1, n1);
-  const Cycles c2 = run(env2, n2);
+  const auto run_fresh = [&](unsigned n) {
+    Env env(opts);
+    return run(env, n);
+  };
+  const Cycles c1 = run_fresh(n1);
+  const Cycles c2 = run_fresh(n2);
   return (c2 - c1) / (n2 - n1);
 }
 
-Cycles run_host_user(Env& env, unsigned syscalls) {
+// A plain user process of the scenario's placement (host user mode, or
+// guest user mode inside an entered VM).
+Cycles run_user(Env& env, unsigned syscalls) {
   auto& proc = env.new_process();
   Asm a = syscall_program(syscalls);
   install_code(env, proc, a);
-  const Cycles start = env.machine->cycles();
-  env.host->run_user_process(proc);
-  LZ_CHECK(!proc.alive() && proc.kill_reason().empty());
-  return env.machine->cycles() - start;
-}
-
-Cycles run_guest_user(Env& env, unsigned syscalls) {
-  auto& proc = env.new_process();
-  Asm a = syscall_program(syscalls);
-  install_code(env, proc, a);
-  env.vm->enter_vm();
-  const Cycles start = env.machine->cycles();
-  env.vm->run_user_process(proc);
-  const Cycles total = env.machine->cycles() - start;
-  env.vm->exit_vm();
+  Cycles total = 0;
+  if (env.placement == Env::Placement::kHost) {
+    const Cycles start = env.machine->cycles();
+    env.host->run_user_process(proc);
+    total = env.machine->cycles() - start;
+  } else {
+    env.vm->enter_vm();
+    const Cycles start = env.machine->cycles();
+    env.vm->run_user_process(proc);
+    total = env.machine->cycles() - start;
+    env.vm->exit_vm();
+  }
   LZ_CHECK(!proc.alive() && proc.kill_reason().empty());
   return total;
 }
 
-Cycles run_lz(Env& env, unsigned syscalls, bool resched_every_trap = false) {
+Cycles run_lz(Env& env, unsigned syscalls, bool resched_every_trap = false,
+              const core::LzOptions* overrides = nullptr) {
   auto& proc = env.new_process();
   Asm a = syscall_program(syscalls);
   install_code(env, proc, a);
-  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1, overrides);
   if (resched_every_trap) {
     env.kern().register_syscall(
         kEmpty, [&env](kernel::Process&, const kernel::SyscallArgs&) -> u64 {
@@ -93,54 +98,36 @@ Cycles run_lz(Env& env, unsigned syscalls, bool resched_every_trap = false) {
   return env.machine->cycles() - start;
 }
 
+constexpr unsigned kTrapN1 = 64, kTrapN2 = 192;
+
 }  // namespace
+
+Cycles marginal_syscall_cycles(const Env::Options& opts, bool lightzone,
+                               unsigned n1, unsigned n2) {
+  if (lightzone) {
+    return marginal_cost(opts, n1, n2,
+                         [](Env& e, unsigned n) { return run_lz(e, n); });
+  }
+  return marginal_cost(opts, n1, n2, run_user);
+}
 
 TrapCosts measure_trap_costs(const arch::Platform& platform) {
   TrapCosts costs;
-  constexpr unsigned kN1 = 64, kN2 = 192;
-
+  const auto host = Env::Options().platform(platform);
+  const auto guest =
+      Env::Options().platform(platform).placement(Env::Placement::kGuest);
+  costs.host_syscall = marginal_syscall_cycles(host, false, kTrapN1, kTrapN2);
+  costs.guest_syscall =
+      marginal_syscall_cycles(guest, false, kTrapN1, kTrapN2);
+  costs.lz_host_trap = marginal_syscall_cycles(host, true, kTrapN1, kTrapN2);
+  costs.lz_guest_trap_min =
+      marginal_syscall_cycles(guest, true, kTrapN1, kTrapN2);
+  costs.lz_guest_trap_max =
+      marginal_cost(guest, kTrapN1, kTrapN2, [](Env& e, unsigned n) {
+        return run_lz(e, n, /*resched_every_trap=*/true);
+      });
   {
-    Env e1(Env::Options().platform(platform)),
-        e2(Env::Options().platform(platform));
-    costs.host_syscall =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_host_user(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    costs.guest_syscall =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_guest_user(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform)),
-        e2(Env::Options().platform(platform));
-    costs.lz_host_trap =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    costs.lz_guest_trap_min =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n);
-        });
-  }
-  {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    costs.lz_guest_trap_max =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n, /*resched_every_trap=*/true);
-        });
-  }
-  {
-    Env env(Env::Options().platform(platform).placement(Env::Placement::kGuest));
+    Env env(guest);
     env.vm->enter_vm();
     // Average over a few round-trips.
     Cycles total = 0;
@@ -150,7 +137,7 @@ TrapCosts measure_trap_costs(const arch::Platform& platform) {
     env.vm->exit_vm();
   }
   {
-    Env env(Env::Options().platform(platform));
+    Env env(host);
     auto& m = *env.machine;
     Cycles start = m.cycles();
     constexpr int kReps = 16;
@@ -169,33 +156,21 @@ TrapCosts measure_trap_costs(const arch::Platform& platform) {
 
 TrapAblations measure_trap_ablations(const arch::Platform& platform) {
   TrapAblations ab;
-  constexpr unsigned kN1 = 64, kN2 = 192;
-  {
-    Env e1(Env::Options().platform(platform)),
-        e2(Env::Options().platform(platform));
-    e1.host->set_conditional_sysreg_opt(false);
-    e2.host->set_conditional_sysreg_opt(false);
-    ab.lz_host_trap_no_cond_sysreg =
-        marginal_cost(e1, e2, kN1, kN2, [](Env& e, unsigned n) {
-          return run_lz(e, n);
-        });
-  }
+  ab.lz_host_trap_no_cond_sysreg = marginal_cost(
+      Env::Options().platform(platform), kTrapN1, kTrapN2,
+      [](Env& e, unsigned n) {
+        e.host->set_conditional_sysreg_opt(false);
+        return run_lz(e, n);
+      });
   const auto nested_with = [&](bool shared_ptregs, bool deferred) {
-    Env e1(Env::Options().platform(platform).placement(Env::Placement::kGuest)),
-        e2(Env::Options().platform(platform).placement(Env::Placement::kGuest));
-    const auto run = [&](Env& e, unsigned n) {
-      auto& proc = e.new_process();
-      Asm a = syscall_program(n);
-      install_code(e, proc, a);
-      core::LzOptions opts;
-      opts.shared_ptregs = shared_ptregs;
-      opts.deferred_sysregs = deferred;
-      LzProc lz = LzProc::enter(*e.module, proc, true, 1, &opts);
-      const Cycles start = e.machine->cycles();
-      lz.run(100'000'000);
-      return e.machine->cycles() - start;
-    };
-    return marginal_cost(e1, e2, kN1, kN2, run);
+    core::LzOptions opts;
+    opts.shared_ptregs = shared_ptregs;
+    opts.deferred_sysregs = deferred;
+    return marginal_cost(
+        Env::Options().platform(platform).placement(Env::Placement::kGuest),
+        kTrapN1, kTrapN2, [&opts](Env& e, unsigned n) {
+          return run_lz(e, n, /*resched_every_trap=*/false, &opts);
+        });
   };
   ab.lz_guest_trap_no_shared_ptregs = nested_with(false, true);
   ab.lz_guest_trap_no_deferred_sysregs = nested_with(true, false);
@@ -204,91 +179,91 @@ TrapAblations measure_trap_ablations(const arch::Platform& platform) {
 
 // --- Table 5 ------------------------------------------------------------------
 
-double lz_switch_avg_cycles(const arch::Platform& platform,
-                            Placement placement, int domains, int iters,
-                            u64 seed, bool asid_tags) {
-  Env env(Env::Options().platform(platform).placement(
-      placement == Placement::kHost ? Env::Placement::kHost
-                                    : Env::Placement::kGuest));
-  auto& proc = env.new_process();
-  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
-  auto& core = env.machine->core();
-  auto& module = lz.module();
-  auto& ctx = lz.ctx();
+namespace {
+
+// Domain d is the 4 KiB page at kArena + d pages; every gate enters at
+// the same static entry.
+constexpr VirtAddr kArena = Env::kHeapVa;
+constexpr VirtAddr kGateEntry = Env::kCodeVa + 0x40;
+
+VirtAddr domain_va(int d) { return kArena + static_cast<u64>(d) * kPageSize; }
+
+// The Table-5 domain build: domain d gets its own table (d = 0 keeps the
+// default one) behind gate d, and its page is faulted in. With
+// `asid_tags = false` (live module only) every table shares ASID 1.
+void build_domains(LzProc& lz, int domains, bool asid_tags) {
+  auto& be = lz.backend();
+  LZ_CHECK(domains >= 1 && domains <= be.max_domains());
+  for (int d = 0; d < domains; ++d) {
+    const int pgt = d == 0 ? 0 : be.alloc().value();
+    if (!asid_tags) lz.ctx().pgts[pgt].tbl->set_asid(1);
+    LZ_CHECK_OK(be.prot(domain_va(d), kPageSize, pgt,
+                        core::kLzRead | core::kLzWrite));
+    LZ_CHECK_OK(be.map_gate_pgt(pgt, d));
+    LZ_CHECK_OK(be.set_gate_entry(d, kGateEntry));
+    LZ_CHECK_OK(be.touch(domain_va(d), /*want_write=*/true,
+                         /*want_exec=*/false));
+  }
+}
+
+struct LoopStats {
+  double avg_cycles = 0;  // per switch-and-access, the calling core's ledger
+  mem::TlbStats tlb;      // the calling core's TLB delta over the loop
+};
+
+// The Table-5 switch-and-access loop on the calling core: visit every
+// domain once to warm gates and pages, then `iters` random switches, each
+// followed by one 8-byte access in the new domain. Without ASID tags the
+// switch also pays a TLB flush (invalidate the VMID, DSB + ISB).
+LoopStats switch_and_access(LzProc& lz, sim::Machine& machine, int domains,
+                            int iters, u64 seed, bool asid_tags) {
+  auto& be = lz.backend();
+  for (int d = 0; d < domains; ++d) {
+    LZ_CHECK(be.switch_to(d).is_ok());
+    (void)be.access(domain_va(d));
+  }
   Rng rng(seed);
-
-  const VirtAddr arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
-
-  if (domains <= 1) {
-    // PAN mechanism: one protected domain holding every buffer.
-    LZ_CHECK_OK(module.prot(ctx, arena, kPageSize, core::kPgtAll,
-                            core::kLzRead | core::kLzWrite | core::kLzUser));
-    LZ_CHECK_OK(module.touch_page(ctx, arena, true, false));
-    lz.enter_world();
-    core.pstate().el = arch::ExceptionLevel::kEl1;
-    core.pstate().pan = true;
-    core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-    core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-    core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-    // Warm-up access.
-    lz.set_pan(false);
-    (void)core.mem_read(arena, 8);
-    lz.set_pan(true);
-    const Cycles start = env.machine->cycles();
-    for (int i = 0; i < iters; ++i) {
-      lz.set_pan(false);
-      (void)core.mem_read(arena, 8);
-      lz.set_pan(true);
-    }
-    const double avg =
-        static_cast<double>(env.machine->cycles() - start) / iters;
-    lz.exit_world();
-    return avg;
-  }
-
-  // Scalable mechanism: one 4 KiB domain per stage-1 table, one gate each.
-  std::vector<int> pgts(domains);
-  for (int d = 0; d < domains; ++d) {
-    const VirtAddr va = arena + static_cast<u64>(d) * kPageSize;
-    const int pgt = d == 0 ? 0 : lz.lz_alloc().value();
-    LZ_CHECK(pgt >= 0);
-    pgts[d] = pgt;
-    if (!asid_tags) {
-      // Ablation: all tables share one ASID, forcing TLB invalidation
-      // semantics on every switch (modelled as a flush per switch below).
-      ctx.pgts[pgt].tbl->set_asid(1);
-      // Refresh the published TTBR value.
-    }
-    LZ_CHECK_OK(module.prot(ctx, va, kPageSize, pgt,
-                            core::kLzRead | core::kLzWrite));
-    LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, d));
-    LZ_CHECK_OK(module.set_gate_entry(ctx, d, entry));
-    LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-  }
-
-  lz.enter_world();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-  core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-  core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-
-  // Warm up: visit each domain once.
-  for (int d = 0; d < domains; ++d) {
-    LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
-    (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-  }
-
-  const Cycles start = env.machine->cycles();
+  const mem::TlbStats before = machine.tlb().stats();
+  const Cycles start = machine.account().total();
   for (int i = 0; i < iters; ++i) {
     const int d = static_cast<int>(rng.below(domains));
-    LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
+    LZ_CHECK(be.switch_to(d).is_ok());
     if (!asid_tags) {
-      env.machine->tlb().invalidate_vmid(ctx.vmid);
-      env.machine->charge(sim::CostKind::kSysreg, platform.dsb + platform.isb);
+      machine.tlb().invalidate_vmid(lz.ctx().vmid);
+      machine.charge(sim::CostKind::kSysreg,
+                     machine.platform().dsb + machine.platform().isb);
     }
-    (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-    LZ_CHECK(proc.alive());
+    (void)be.access(domain_va(d));
+  }
+  LoopStats out;
+  out.avg_cycles =
+      static_cast<double>(machine.account().total() - start) / iters;
+  const mem::TlbStats after = machine.tlb().stats();
+  out.tlb.l1_hits = after.l1_hits - before.l1_hits;
+  out.tlb.l2_hits = after.l2_hits - before.l2_hits;
+  out.tlb.misses = after.misses - before.misses;
+  return out;
+}
+
+// The PAN mechanism (Table 5's "1 (PAN)" column): one protected domain
+// holding every buffer, opened and closed by toggling PAN around each
+// access.
+double pan_switch_avg_cycles(Env& env, LzProc& lz, int iters) {
+  auto& core = env.machine->core();
+  LZ_CHECK_OK(lz.lz_prot(kArena, kPageSize, core::kPgtAll,
+                         core::kLzRead | core::kLzWrite | core::kLzUser));
+  LZ_CHECK_OK(lz.backend().touch(kArena, true, false));
+  lz.enter_world();
+  core.pstate().pan = true;
+  // Warm-up access.
+  lz.set_pan(false);
+  (void)core.mem_read(kArena, 8);
+  lz.set_pan(true);
+  const Cycles start = env.machine->cycles();
+  for (int i = 0; i < iters; ++i) {
+    lz.set_pan(false);
+    (void)core.mem_read(kArena, 8);
+    lz.set_pan(true);
   }
   const double avg =
       static_cast<double>(env.machine->cycles() - start) / iters;
@@ -296,20 +271,41 @@ double lz_switch_avg_cycles(const arch::Platform& platform,
   return avg;
 }
 
-std::vector<SmpSwitchStats> lz_switch_avg_cycles_smp(
+}  // namespace
+
+SwitchResult switch_avg_cycles(core::BackendKind kind,
+                               const arch::Platform& platform,
+                               Placement placement, int domains, int iters,
+                               u64 seed, bool asid_tags) {
+  const bool live = kind == core::BackendKind::kTtbrPan;
+  Env env(Env::Options().platform(platform).placement(placement));
+  LzProc lz = baseline::make_backend_proc(kind, env);
+  SwitchResult out;
+  if (live && domains <= 1) {
+    out.avg_cycles = pan_switch_avg_cycles(env, lz, iters);
+    return out;
+  }
+  build_domains(lz, domains, asid_tags);
+  lz.enter_world();
+  out.avg_cycles =
+      switch_and_access(lz, *env.machine, domains, iters, seed, asid_tags)
+          .avg_cycles;
+  LZ_CHECK(!live || lz.proc().alive());
+  lz.exit_world();
+  out.stats = lz.backend().stats();
+  return out;
+}
+
+std::vector<SmpSwitchStats> switch_avg_cycles_smp(
     const arch::Platform& platform, Placement placement, unsigned cores,
     int domains, int iters, u64 seed) {
   LZ_CHECK(cores >= 1 && domains >= 2);
   Env env(Env::Options()
               .platform(platform)
-              .placement(placement == Placement::kHost
-                             ? Env::Placement::kHost
-                             : Env::Placement::kGuest)
+              .placement(placement)
               .cores(cores)
               .seed(seed));
   auto& machine = *env.machine;
-  const VirtAddr arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
 
   // Deterministic setup: one LightZone process per core, prepared
   // sequentially on the main thread so frame-allocation order (and thus
@@ -318,20 +314,9 @@ std::vector<SmpSwitchStats> lz_switch_avg_cycles_smp(
   std::vector<std::optional<LzProc>> lzs(cores);
   for (unsigned w = 0; w < cores; ++w) {
     sim::Machine::CoreBinding bind(machine, w);
-    auto& proc = env.new_process();
-    lzs[w].emplace(LzProc::enter(*env.module, proc, true, 1));
-    auto& lz = *lzs[w];
-    auto& module = lz.module();
-    auto& ctx = lz.ctx();
-    for (int d = 0; d < domains; ++d) {
-      const VirtAddr va = arena + static_cast<u64>(d) * kPageSize;
-      const int pgt = d == 0 ? 0 : module.alloc_pgt(ctx).value();
-      LZ_CHECK_OK(module.prot(ctx, va, kPageSize, pgt,
-                              core::kLzRead | core::kLzWrite));
-      LZ_CHECK_OK(module.map_gate_pgt(ctx, pgt, d));
-      LZ_CHECK_OK(module.set_gate_entry(ctx, d, entry));
-      LZ_CHECK_OK(module.touch_page(ctx, va, true, false));
-    }
+    lzs[w].emplace(
+        baseline::make_backend_proc(core::BackendKind::kTtbrPan, env));
+    build_domains(*lzs[w], domains, /*asid_tags=*/true);
   }
 
   // Concurrent phase: every core runs its own switch-and-access loop.
@@ -341,38 +326,11 @@ std::vector<SmpSwitchStats> lz_switch_avg_cycles_smp(
   for (unsigned w = 0; w < cores; ++w) {
     env.kern().run_on(w, [&, w](unsigned core_id) {
       auto& lz = *lzs[w];
-      auto& module = lz.module();
-      auto& ctx = lz.ctx();
-      auto& core = machine.core(core_id);
       lz.enter_world();
-      core.pstate().el = arch::ExceptionLevel::kEl1;
-      core.set_sysreg(sim::SysReg::kTtbr0El1, module.domain_ttbr(ctx, 0));
-      core.set_sysreg(sim::SysReg::kTtbr1El1, ctx.ctx.ttbr1);
-      core.set_sysreg(sim::SysReg::kVbarEl1, ctx.ctx.vbar);
-      Rng rng(seed + core_id);
-      for (int d = 0; d < domains; ++d) {  // warm gates and pages
-        LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
-        (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-      }
-      const mem::TlbStats before = machine.tlb(core_id).stats();
-      const Cycles start = machine.account(core_id).total();
-      for (int i = 0; i < iters; ++i) {
-        const int d = static_cast<int>(rng.below(domains));
-        LZ_CHECK(module.exec_gate_switch(ctx, d).is_ok());
-        (void)core.mem_read(arena + static_cast<u64>(d) * kPageSize, 8);
-        LZ_CHECK(lz.proc().alive());
-      }
-      auto& s = stats[core_id];
-      s.avg_cycles = static_cast<double>(machine.account(core_id).total() -
-                                         start) /
-                     iters;
-      const mem::TlbStats after = machine.tlb(core_id).stats();
-      mem::TlbStats d;
-      d.l1_hits = after.l1_hits - before.l1_hits;
-      d.l2_hits = after.l2_hits - before.l2_hits;
-      d.misses = after.misses - before.misses;
-      s.hit_rate = d.hit_rate();
-      s.lookups = d.lookups();
+      const LoopStats r = switch_and_access(lz, machine, domains, iters,
+                                            seed + core_id, true);
+      LZ_CHECK(lz.proc().alive());
+      stats[core_id] = {r.avg_cycles, r.tlb.hit_rate(), r.tlb.lookups()};
       lz.exit_world();
     });
   }
@@ -385,9 +343,7 @@ double watchpoint_switch_avg_cycles(const arch::Platform& platform,
                                     int iters, u64 seed) {
   LZ_CHECK(domains >= 1 &&
            domains <= baseline::WatchpointIsolation::kMaxDomains);
-  Env env(Env::Options().platform(platform).placement(
-      placement == Placement::kHost ? Env::Placement::kHost
-                                    : Env::Placement::kGuest));
+  Env env(Env::Options().platform(platform).placement(placement));
   baseline::WatchpointIsolation wp(*env.host, env.vm.get());
   auto& proc = wp.kern().create_process();
   const VirtAddr arena = 0x40000000;  // 1 GiB-aligned arena
@@ -413,9 +369,7 @@ double watchpoint_switch_avg_cycles(const arch::Platform& platform,
 double lwc_switch_avg_cycles(const arch::Platform& platform,
                              Placement placement, int domains, int iters,
                              u64 seed) {
-  Env env(Env::Options().platform(platform).placement(
-      placement == Placement::kHost ? Env::Placement::kHost
-                                    : Env::Placement::kGuest));
+  Env env(Env::Options().platform(platform).placement(placement));
   baseline::LwcIsolation lwc(*env.host, env.vm.get());
   for (int d = 0; d < domains; ++d) {
     const int id = lwc.create_context();
@@ -429,52 +383,6 @@ double lwc_switch_avg_cycles(const arch::Platform& platform,
     env.machine->charge(sim::CostKind::kMem, platform.mem_access);
   }
   return static_cast<double>(env.machine->cycles() - start) / iters;
-}
-
-BackendSwitchResult backend_switch_avg_cycles(core::BackendKind kind,
-                                              const arch::Platform& platform,
-                                              Placement placement, int domains,
-                                              int iters, u64 seed) {
-  BackendSwitchResult out;
-  if (kind == core::BackendKind::kTtbrPan) {
-    out.avg_cycles =
-        lz_switch_avg_cycles(platform, placement, domains, iters, seed);
-    return out;
-  }
-  Env env(Env::Options()
-              .platform(platform)
-              .placement(placement == Placement::kHost
-                             ? Env::Placement::kHost
-                             : Env::Placement::kGuest));
-  auto be = baseline::make_backend(kind, env);
-  LZ_CHECK(domains >= 1 && domains <= be->max_domains());
-
-  const VirtAddr arena = Env::kHeapVa;
-  const VirtAddr entry = Env::kCodeVa + 0x40;
-  for (int d = 0; d < domains; ++d) {
-    const VirtAddr va = arena + static_cast<u64>(d) * kPageSize;
-    const int pgt = d == 0 ? 0 : be->alloc().value();
-    LZ_CHECK(pgt >= 0);
-    LZ_CHECK_OK(be->prot(va, kPageSize, pgt, core::kLzRead | core::kLzWrite));
-    LZ_CHECK_OK(be->map_gate_pgt(pgt, d));
-    LZ_CHECK_OK(be->set_gate_entry(d, entry));
-    LZ_CHECK_OK(be->touch(va, /*want_write=*/true, /*want_exec=*/false));
-  }
-
-  Rng rng(seed);
-  for (int d = 0; d < domains; ++d) {  // warm every domain once
-    LZ_CHECK(be->switch_to(d).is_ok());
-    (void)be->access(arena + static_cast<u64>(d) * kPageSize);
-  }
-  const Cycles start = env.machine->cycles();
-  for (int i = 0; i < iters; ++i) {
-    const int d = static_cast<int>(rng.below(domains));
-    LZ_CHECK(be->switch_to(d).is_ok());
-    (void)be->access(arena + static_cast<u64>(d) * kPageSize);
-  }
-  out.avg_cycles = static_cast<double>(env.machine->cycles() - start) / iters;
-  out.stats = be->stats();
-  return out;
 }
 
 }  // namespace lz::workload

@@ -20,7 +20,7 @@ using baseline::make_backend;
 using baseline::make_backend_proc;
 using core::BackendKind;
 using core::Env;
-using workload::backend_switch_avg_cycles;
+using workload::switch_avg_cycles;
 using workload::Placement;
 
 constexpr BackendKind kModelKinds[] = {BackendKind::kPoe, BackendKind::kCca,
@@ -61,7 +61,7 @@ TEST(TtbrPanBackendTest, ReproducesPreRefactorTable5Exactly) {
   const int kDomains[] = {1, 2, 3, 32, 64, 128};
   for (const auto& row : kRows) {
     for (int i = 0; i < 6; ++i) {
-      const auto r = backend_switch_avg_cycles(
+      const auto r = switch_avg_cycles(
           BackendKind::kTtbrPan, row.plat, Placement::kHost, kDomains[i],
           kIters);
       EXPECT_DOUBLE_EQ(r.avg_cycles, row.expect[i])
@@ -132,14 +132,14 @@ TEST(WatchpointBackendTest, CapsAtSixteenDomains) {
 // round-robin shootdown path.
 TEST(PoeBackendTest, RecyclesKeysOnlyBeyondSixteenDomains) {
   {
-    const auto r = backend_switch_avg_cycles(
+    const auto r = switch_avg_cycles(
         BackendKind::kPoe, arch::Platform::cortex_a55(), Placement::kHost,
         /*domains=*/15, /*iters=*/2000);
     EXPECT_EQ(r.stats.key_recycles, 0u);
     EXPECT_EQ(r.stats.shootdown_pages, 0u);
   }
   {
-    const auto r = backend_switch_avg_cycles(
+    const auto r = switch_avg_cycles(
         BackendKind::kPoe, arch::Platform::cortex_a55(), Placement::kHost,
         /*domains=*/32, /*iters=*/2000);
     EXPECT_GT(r.stats.key_recycles, 0u);
@@ -150,10 +150,10 @@ TEST(PoeBackendTest, RecyclesKeysOnlyBeyondSixteenDomains) {
 TEST(PoeBackendTest, SwitchIsCheaperThanKernelRoundtrip) {
   // The whole point of POE: a switch is MSR POR_EL0 + ISB, no syscall and
   // no TLBI, so it must land far below the TTBR gate path.
-  const auto poe = backend_switch_avg_cycles(
+  const auto poe = switch_avg_cycles(
       BackendKind::kPoe, arch::Platform::cortex_a55(), Placement::kHost,
       /*domains=*/8, /*iters=*/2000);
-  const auto ttbr = backend_switch_avg_cycles(
+  const auto ttbr = switch_avg_cycles(
       BackendKind::kTtbrPan, arch::Platform::cortex_a55(), Placement::kHost,
       /*domains=*/8, /*iters=*/2000);
   EXPECT_LT(poe.avg_cycles, ttbr.avg_cycles);

@@ -102,10 +102,14 @@ TEST(Table5Calibration, SwitchCosts) {
        11, 59, 82, 915, 927},
   };
   for (const auto& c : cases) {
-    const double pan = lz_switch_avg_cycles(*c.plat, c.placement, 1, 4000);
-    const double lz2 = lz_switch_avg_cycles(*c.plat, c.placement, 2, 4000);
-    const double lz128 =
-        lz_switch_avg_cycles(*c.plat, c.placement, 128, 4000);
+    const auto lz = [&c](int domains) {
+      return switch_avg_cycles(core::BackendKind::kTtbrPan, *c.plat,
+                               c.placement, domains, 4000)
+          .avg_cycles;
+    };
+    const double pan = lz(1);
+    const double lz2 = lz(2);
+    const double lz128 = lz(128);
     const double wp1 =
         watchpoint_switch_avg_cycles(*c.plat, c.placement, 1, 2000);
     const double wp3 =

@@ -58,11 +58,6 @@ TEST(ShadowTest, ScriptedSequenceMatchesLiveModule) {
   // Same discipline as the fuzz driver: Table-2 calls (and in particular
   // gate switches) run inside the process's LightZone world.
   lz.enter_world();
-  auto& core = env.machine->core();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(sim::SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
-  core.set_sysreg(sim::SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  core.set_sysreg(sim::SysReg::kVbarEl1, lz.ctx().ctx.vbar);
 
   const VirtAddr va = core::Env::kHeapVa;
   const auto alloc = shadow.alloc();

@@ -762,5 +762,68 @@ TEST_F(TraceTierTest, CleanBbmRemapRebuildsQuietly) {
   check::BbmMonitor::instance().reset();
 }
 
+// A load inside a trace can move the Tlb generation itself: its main-TLB
+// hit promotes into the full micro-TLB, and random replacement may evict
+// the block's own fetch translation. The interpreter then fetches the next
+// instruction through a main-TLB lookup (an L2 hit, not a micro-TLB hit),
+// so the trace must hand the rest of the block back instead of keeping its
+// pre-summed fetch hits: tier-on and tier-off runs agree on every TLB
+// statistic and every cycle.
+TEST(TraceTierExactnessTest, MicroTlbEvictionMidBlockMatchesInterpreter) {
+  constexpr unsigned kPages = 24;  // more than the 16-entry micro-TLB
+  constexpr u64 kIters = 200;
+  struct Outcome {
+    mem::TlbStats tlb;
+    Cycles cycles = 0;
+    u64 iters = 0;
+    u64 trace_execs = 0;
+  };
+  const auto run = [](bool tier) {
+    Machine machine(arch::Platform::cortex_a55(), /*seed=*/42, 1);
+    auto& core = machine.core(0);
+    core.set_trace_tier(tier);
+    mem::Stage1Table tbl(machine.mem(), /*asid=*/1);
+    Asm a;
+    auto loop = a.new_label();
+    a.movz(1, kIters);
+    a.movz(6, kPageSize);
+    a.bind(loop);  // one block: every load may promote into the micro-TLB
+    a.mov_imm64(3, kFillVa);
+    for (unsigned p = 0; p < kPages; ++p) {
+      a.ldr(5, 3);
+      a.add_reg(3, 3, 6);
+    }
+    a.add_imm(2, 2, 1);
+    a.sub_imm(1, 1, 1);
+    a.cbnz(1, loop);
+    a.svc(0);
+    const PhysAddr code_pa = machine.mem().alloc_frame();
+    a.install(machine.mem(), code_pa);
+    LZ_CHECK_OK(tbl.map(kCodeVa, code_pa, CodeAttrs()));
+    for (unsigned p = 0; p < kPages; ++p) {
+      LZ_CHECK_OK(tbl.map(kFillVa + p * kPageSize, machine.mem().alloc_frame(),
+                          DataAttrs()));
+    }
+    core.set_sysreg(SysReg::kTtbr0El1, tbl.ttbr());
+    core.pstate().el = ExceptionLevel::kEl1;
+    core.set_pc(kCodeVa);
+    core.set_handler(ExceptionLevel::kEl1,
+                     [](const TrapInfo&) { return TrapAction::kStop; });
+    EXPECT_EQ(core.run(1'000'000).reason, StopReason::kHandlerStop);
+    return Outcome{machine.tlb(0).stats(), machine.cycles(), core.x(2),
+                   core.trace_stats().executed};
+  };
+  const Outcome on = run(true);
+  const Outcome off = run(false);
+  EXPECT_EQ(on.iters, kIters);
+  EXPECT_EQ(off.iters, kIters);
+  EXPECT_GT(on.trace_execs, 0u);
+  EXPECT_GT(on.tlb.l2_hits, 0u);
+  EXPECT_EQ(on.tlb.l1_hits, off.tlb.l1_hits);
+  EXPECT_EQ(on.tlb.l2_hits, off.tlb.l2_hits);
+  EXPECT_EQ(on.tlb.misses, off.tlb.misses);
+  EXPECT_EQ(on.cycles, off.cycles);
+}
+
 }  // namespace
 }  // namespace lz::sim

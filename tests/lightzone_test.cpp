@@ -325,11 +325,6 @@ TEST_F(LightZoneTest, FastPathGateSwitchCycles) {
   ASSERT_TRUE(lz.lz_set_gate_entry(0, Env::kCodeVa + 0x40).is_ok());
 
   lz.enter_world();
-  env.machine->core().pstate().el = arch::ExceptionLevel::kEl1;
-  env.machine->core().set_sysreg(SysReg::kTtbr0El1,
-                                 lz.module().domain_ttbr(lz.ctx(), 0));
-  env.machine->core().set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  env.machine->core().set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
   const Cycles c1 = lz.lz_switch_to_ttbr_gate(0).value();
   const Cycles c2 = lz.lz_switch_to_ttbr_gate(0).value();
   lz.exit_world();
@@ -339,6 +334,30 @@ TEST_F(LightZoneTest, FastPathGateSwitchCycles) {
   // TTBR0 now selects pgt1.
   EXPECT_EQ(env.machine->core().sysreg(SysReg::kTtbr0El1),
             lz.module().domain_ttbr(lz.ctx(), 1));
+}
+
+// Entering the world hands the core over in the state direct gate driving
+// needs: EL1, TTBR0 on the default domain table, the stub's TTBR1 mapping
+// and vectors. The call costs the same with or without the register setup.
+TEST_F(LightZoneTest, EnterWorldPutsCoreAtEl1OnTheDefaultTable) {
+  auto& proc = env.new_process();
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  ASSERT_TRUE(lz.lz_alloc().is_ok());  // TTBR0 must not pick a later table
+  auto& core = env.machine->core();
+  core.pstate().el = arch::ExceptionLevel::kEl0;
+  core.set_sysreg(SysReg::kTtbr0El1, 0);
+  core.set_sysreg(SysReg::kTtbr1El1, 0);
+  core.set_sysreg(SysReg::kVbarEl1, 0);
+
+  lz.enter_world();
+  EXPECT_EQ(core.pstate().el, arch::ExceptionLevel::kEl1);
+  EXPECT_EQ(core.sysreg(SysReg::kTtbr0El1),
+            lz.module().domain_ttbr(lz.ctx(), 0));
+  EXPECT_NE(lz.ctx().ctx.ttbr1, 0u);
+  EXPECT_EQ(core.sysreg(SysReg::kTtbr1El1), lz.ctx().ctx.ttbr1);
+  EXPECT_NE(lz.ctx().ctx.vbar, 0u);
+  EXPECT_EQ(core.sysreg(SysReg::kVbarEl1), lz.ctx().ctx.vbar);
+  lz.exit_world();
 }
 
 TEST_F(LightZoneTest, PanTogglesAreTensOfCycles) {
@@ -451,10 +470,6 @@ TEST_F(LightZoneTest, SlotReuseNeverAliasesTheDefaultTableAsid) {
 
   lz.enter_world();
   auto& core = env.machine->core();
-  core.pstate().el = arch::ExceptionLevel::kEl1;
-  core.set_sysreg(SysReg::kTtbr0El1, lz.module().domain_ttbr(lz.ctx(), 0));
-  core.set_sysreg(SysReg::kTtbr1El1, lz.ctx().ctx.ttbr1);
-  core.set_sysreg(SysReg::kVbarEl1, lz.ctx().ctx.vbar);
   // Inside the domain the page reads (and its translation is cached) ...
   ASSERT_TRUE(lz.lz_switch_to_ttbr_gate(1).is_ok());
   ASSERT_TRUE(core.mem_read(va, 8).ok);

@@ -270,8 +270,9 @@ TEST_F(ObsTest, TraceJsonIsDeterministicAcrossRuns) {
   const auto run_once = [] {
     obs::reset_all();
     obs::trace().arm(1024);
-    workload::lz_switch_avg_cycles(arch::Platform::cortex_a55(),
-                                   workload::Placement::kHost, 2, 40);
+    workload::switch_avg_cycles(core::BackendKind::kTtbrPan,
+                                arch::Platform::cortex_a55(),
+                                workload::Placement::kHost, 2, 40);
     std::string json = obs::trace().to_chrome_json();
     obs::trace().disarm();
     return json;
@@ -284,8 +285,9 @@ TEST_F(ObsTest, TraceJsonIsDeterministicAcrossRuns) {
 
 TEST_F(ObsTest, ChromeTraceFileParsesAndValidates) {
   obs::trace().arm(1024);
-  workload::lz_switch_avg_cycles(arch::Platform::cortex_a55(),
-                                 workload::Placement::kHost, 2, 20);
+  workload::switch_avg_cycles(core::BackendKind::kTtbrPan,
+                              arch::Platform::cortex_a55(),
+                              workload::Placement::kHost, 2, 20);
   const std::string path = ::testing::TempDir() + "obs_trace_test.json";
   ASSERT_TRUE(obs::trace().write_chrome_json(path));
   EXPECT_GT(obs::trace().size(), 0u);
@@ -399,8 +401,9 @@ TEST_F(ObsTest, ValidateRejectsWrongSchemaOrMissingSections) {
 // validator checks both sections.
 TEST_F(ObsTest, V2ReportRoundTripsWithHistogramsAndProfile) {
   obs::profiler().arm(64);
-  workload::lz_switch_avg_cycles(arch::Platform::cortex_a55(),
-                                 workload::Placement::kHost, 2, 40);
+  workload::switch_avg_cycles(core::BackendKind::kTtbrPan,
+                              arch::Platform::cortex_a55(),
+                              workload::Placement::kHost, 2, 40);
   Report report("v2_style");
   report.add_result("r", u64{1});
   report.set_cycles_total(obs::cycle_ledger().total());
@@ -442,8 +445,11 @@ TEST_F(ObsTest, V2ReportRoundTripsWithHistogramsAndProfile) {
 
 // End-to-end: the exact flow the bench binaries run behind --json.
 TEST_F(ObsTest, BenchStyleReportCapturesWorkloadActivity) {
-  const double avg = workload::lz_switch_avg_cycles(
-      arch::Platform::cortex_a55(), workload::Placement::kHost, 2, 40);
+  const double avg =
+      workload::switch_avg_cycles(core::BackendKind::kTtbrPan,
+                                  arch::Platform::cortex_a55(),
+                                  workload::Placement::kHost, 2, 40)
+          .avg_cycles;
 
   Report report("bench_style");
   report.add_result("cortex_host.lz.2", avg);

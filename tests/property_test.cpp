@@ -236,13 +236,15 @@ TEST_P(DeterminismSweep, IdenticalSeedsGiveIdenticalCycles) {
   const auto placement = std::get<1>(GetParam()) == 0
                              ? workload::Placement::kHost
                              : workload::Placement::kGuest;
-  const double a =
-      workload::lz_switch_avg_cycles(plat, placement, 8, 500, /*seed=*/7);
-  const double b =
-      workload::lz_switch_avg_cycles(plat, placement, 8, 500, /*seed=*/7);
+  const auto run = [&](u64 seed) {
+    return workload::switch_avg_cycles(core::BackendKind::kTtbrPan, plat,
+                                       placement, 8, 500, seed)
+        .avg_cycles;
+  };
+  const double a = run(/*seed=*/7);
+  const double b = run(/*seed=*/7);
   EXPECT_EQ(a, b);
-  const double c =
-      workload::lz_switch_avg_cycles(plat, placement, 8, 500, /*seed=*/8);
+  const double c = run(/*seed=*/8);
   (void)c;  // different seed may differ; it must still be finite & sane
   EXPECT_GT(c, 0);
 }

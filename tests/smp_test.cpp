@@ -108,7 +108,7 @@ TEST(SmpSchedulerTest, DeterministicTotalsUnderTwoThreads) {
 // per-page-table ASIDs, so gate switches stay TLB-resident per core — high
 // hit rates on every core, none of them polluted by the neighbours.
 TEST(SmpSchedulerTest, PerCoreAsidResidencyUnderConcurrentSwitching) {
-  const auto stats = workload::lz_switch_avg_cycles_smp(
+  const auto stats = workload::switch_avg_cycles_smp(
       arch::Platform::cortex_a55(), workload::Placement::kHost, /*cores=*/2,
       /*domains=*/8, /*iters=*/600);
   ASSERT_EQ(stats.size(), 2u);
@@ -120,7 +120,7 @@ TEST(SmpSchedulerTest, PerCoreAsidResidencyUnderConcurrentSwitching) {
     EXPECT_GT(s.hit_rate, 0.5);
   }
   // And deterministically so.
-  const auto again = workload::lz_switch_avg_cycles_smp(
+  const auto again = workload::switch_avg_cycles_smp(
       arch::Platform::cortex_a55(), workload::Placement::kHost, 2, 8, 600);
   for (unsigned c = 0; c < 2; ++c) {
     EXPECT_DOUBLE_EQ(stats[c].avg_cycles, again[c].avg_cycles);
