@@ -27,6 +27,8 @@ constexpr std::size_t kNestedEl1Ctx = 20;
 // Guest-kernel-module accesses served from the NEVE-style deferred page
 // during one trap (instead of trapping to the Lowvisor each time).
 constexpr std::size_t kDeferredAccesses = 6;
+// Instruction bound for one call-gate execution (the gate is ~30 words).
+constexpr u64 kGateMaxSteps = 64;
 
 LzContext* ctx_of(kernel::Process& proc) {
   return dynamic_cast<LzContext*>(proc.extension());
@@ -832,6 +834,9 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
   if (ctx.gates[gate].pgt < 0) {
     return err(Errc::kNoGate, "gate switch: gate has no table mapped");
   }
+  if (!ctx.proc().alive()) {
+    return err(Errc::kFailedPrecondition, "gate switch: process is dead");
+  }
   lz_counters().gate_switch.add();
   const int pgt = ctx.gates[gate].pgt;
   const u16 asid =
@@ -846,10 +851,17 @@ Result<Cycles> LzModule::exec_gate_switch(LzContext& ctx, int gate) {
   // Measure on the calling core's own ledger: machine().cycles() sums every
   // core and would fold concurrent work into this switch.
   const Cycles start = machine().account().total();
-  for (int i = 0; i < 64 && core.pc() != entry && ctx.proc().alive(); ++i) {
-    core.step();
-  }
+  const bool reached = core.run_until(entry, kGateMaxSteps);
   const Cycles delta = machine().account().total() - start;
+  // A gate that trips its check kills the process (its brk traps into the
+  // module); either way a switch that never returned is no switch.
+  if (!ctx.proc().alive()) {
+    return err(Errc::kPermissionDenied,
+               "gate switch: the gate killed the process");
+  }
+  if (!reached) {
+    return err(Errc::kInternal, "gate switch: the gate did not return");
+  }
   lz_hists().gate_switch.record(delta);
   if (obs::registry().labels_enabled())
     record_tenant_switch("lz.tenant.gate_switch_cycles", ctx.vmid, asid,

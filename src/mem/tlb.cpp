@@ -27,23 +27,20 @@ std::optional<Tlb::Hit> Tlb::lookup(u64 vpage, u16 asid, u16 vmid,
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& e : l1_) {
     if (matches(e, vpage, asid, vmid)) {
-      ++stats_.l1_hits;
-      count(c_l1_hit_, d_l1_hit_);
+      count(stats_.l1_hits, c_l1_hit_, d_l1_hit_);
       return Hit{e, 0, true, gen_.load(std::memory_order_relaxed)};
     }
   }
   for (const auto& e : l2_) {
     if (matches(e, vpage, asid, vmid)) {
-      ++stats_.l2_hits;
-      count(c_l2_hit_, d_l2_hit_);
+      count(stats_.l2_hits, c_l2_hit_, d_l2_hit_);
       const TlbEntry copy = e;  // place() may shuffle l2_ storage aliasing e
       if (place(l1_, copy)) bump_generation();  // promote
       return Hit{copy, l2_hit_cost, false,
                  gen_.load(std::memory_order_relaxed)};
     }
   }
-  ++stats_.misses;
-  count(c_miss_, d_miss_);
+  count(stats_.misses, c_miss_, d_miss_);
   return std::nullopt;
 }
 
@@ -80,15 +77,12 @@ bool Tlb::place(std::vector<TlbEntry>& level, const TlbEntry& e) {
 
 void Tlb::commit_l1_hits(u64 n) {
   if (n == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.l1_hits += n;
-  count(c_l1_hit_, d_l1_hit_, n);
+  count(stats_.l1_hits, c_l1_hit_, d_l1_hit_, n);
 }
 
 void Tlb::invalidate_all() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  count(stats_.invalidations, c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAll, 0, 0);
   for (auto& e : l1_) e.valid = false;
@@ -97,8 +91,7 @@ void Tlb::invalidate_all() {
 
 void Tlb::invalidate_vmid(u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  count(stats_.invalidations, c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVmid, 0, vmid);
   for (auto& e : l1_) {
@@ -111,8 +104,7 @@ void Tlb::invalidate_vmid(u16 vmid) {
 
 void Tlb::invalidate_asid(u16 asid, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  count(stats_.invalidations, c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kAsid, asid, vmid);
   for (auto& e : l1_) {
@@ -125,8 +117,7 @@ void Tlb::invalidate_asid(u16 asid, u16 vmid) {
 
 void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  count(stats_.invalidations, c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVa, asid, vmid);
   // TLBI VAE1: the ASID's own entry for the page, plus any global entry
@@ -145,8 +136,7 @@ void Tlb::invalidate_va(u64 vpage, u16 asid, u16 vmid) {
 
 void Tlb::invalidate_va_all_asid(u64 vpage, u16 vmid) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.invalidations;
-  count(c_inval_, d_inval_);
+  count(stats_.invalidations, c_inval_, d_inval_);
   bump_generation();
   obs::trace().tlb_inval(obs::TlbScope::kVaAllAsid, 0, vmid);
   for (auto& e : l1_) {

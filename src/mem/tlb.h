@@ -4,10 +4,17 @@
 // skip TLB invalidation entirely (§4.1.2), and marking unprotected memory
 // global keeps its entries shared across all domains (§8.2).
 //
-// Thread-safety: every operation takes the per-Tlb mutex. In the SMP
-// machine each core owns one Tlb, so the lock is uncontended on the local
-// path and only taken remotely by DVM broadcast invalidations
-// (`TLBI ...IS` walking all cores' TLBs, see sim::Machine::tlbi_*_is).
+// Thread-safety: the per-Tlb mutex guards the entry arrays and the
+// replacement RNG, so lookup(), insert() and the invalidate_* walkers take
+// it. In the SMP machine each core owns one Tlb, so the lock is
+// uncontended on the local path and only taken remotely by DVM broadcast
+// invalidations (`TLBI ...IS` walking all cores' TLBs, see
+// sim::Machine::tlbi_*_is). The statistics and the generation are relaxed
+// atomics outside the lock: commit_l1_hits(), stats() and reset_stats()
+// never take it. Each statistic has one writer at a time — hits and
+// misses come only from the owning core's thread (lookup() and
+// commit_l1_hits()), invalidations only under the mutex — so an update is
+// a relaxed load and store, not a read-modify-write.
 //
 // Coherence invariant: within each level, at most one entry can match any
 // (vpage, asid, vmid) lookup — place() evicts every aliasing entry (the
@@ -129,15 +136,21 @@ class Tlb {
   // engine once the owning core flushes (see Core's flush contract).
   void commit_l1_hits(u64 n);
 
-  // Copies stats under the lock; call from a quiesced machine (or the
-  // owning core's thread) for exact values.
+  // Lock-free copy of the stats, one relaxed load per field; call from a
+  // quiesced machine (or the owning core's thread) for exact values.
   TlbStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    TlbStats s;
+    s.l1_hits = stats_.l1_hits.load(std::memory_order_relaxed);
+    s.l2_hits = stats_.l2_hits.load(std::memory_order_relaxed);
+    s.misses = stats_.misses.load(std::memory_order_relaxed);
+    s.invalidations = stats_.invalidations.load(std::memory_order_relaxed);
+    return s;
   }
   void reset_stats() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = {};
+    stats_.l1_hits.store(0, std::memory_order_relaxed);
+    stats_.l2_hits.store(0, std::memory_order_relaxed);
+    stats_.misses.store(0, std::memory_order_relaxed);
+    stats_.invalidations.store(0, std::memory_order_relaxed);
   }
   std::size_t valid_entries() const;
 
@@ -155,17 +168,27 @@ class Tlb {
   // Returns true when it removed or overwrote a live entry (the L0
   // generation must advance so no core keeps a memoized copy).
   bool place(std::vector<TlbEntry>& level, const TlbEntry& e);
-  void count(obs::Counter* aggregate, obs::Counter* per_core, u64 n = 1) {
+  // Credits one stats field (single writer, see the thread-safety note)
+  // and its counter mirrors.
+  void count(std::atomic<u64>& stat, obs::Counter* aggregate,
+             obs::Counter* per_core, u64 n = 1) {
+    stat.store(stat.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
     aggregate->add(n);
     if (per_core) per_core->add(n);
   }
   void bump_generation() { gen_.fetch_add(1, std::memory_order_relaxed); }
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // guards l1_, l2_ and rng_ only
   std::vector<TlbEntry> l1_;
   std::vector<TlbEntry> l2_;
   Rng rng_;
-  TlbStats stats_;
+  struct {
+    std::atomic<u64> l1_hits{0};
+    std::atomic<u64> l2_hits{0};
+    std::atomic<u64> misses{0};
+    std::atomic<u64> invalidations{0};
+  } stats_;
   std::atomic<u64> gen_{1};
 
   // Process-wide observability mirrors of stats_ (cached handles so the

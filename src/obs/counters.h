@@ -234,6 +234,14 @@ namespace detail {
 inline std::atomic<u64> g_ts_next_due{~u64{0}};
 }  // namespace detail
 
+// True while the time-series sampler is armed (its due threshold is not
+// parked). The sampler snapshots at the charge that crosses the threshold,
+// so the engine's host-side batching paths keep one charge per event while
+// this holds (sim/core.h).
+inline bool timeseries_armed() {
+  return detail::g_ts_next_due.load(std::memory_order_relaxed) != ~u64{0};
+}
+
 // Out-of-line sampling slow path (timeseries.cpp); called only when a
 // charge crosses the due threshold.
 void timeseries_poll_slow(u64 total);

@@ -1,5 +1,6 @@
 #include "workloads/crypto/aes.h"
 
+#include <array>
 #include <cstring>
 
 #include "support/status.h"
@@ -35,37 +36,80 @@ constexpr u8 kSbox[256] = {
 constexpr u8 kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                           0x20, 0x40, 0x80, 0x1b, 0x36};
 
-u8 xtime(u8 x) { return static_cast<u8>((x << 1) ^ ((x >> 7) * 0x1b)); }
-
-void sub_bytes(u8 s[16]) {
-  for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
+constexpr u8 xtime(u8 x) {
+  return static_cast<u8>((x << 1) ^ ((x >> 7) * 0x1b));
 }
 
-// State is column-major: s[col*4 + row].
-void shift_rows(u8 s[16]) {
-  u8 t[16];
-  std::memcpy(t, s, 16);
-  for (int col = 0; col < 4; ++col) {
-    for (int row = 0; row < 4; ++row) {
-      s[col * 4 + row] = t[((col + row) % 4) * 4 + row];
+constexpr u32 rotr8(u32 w) { return (w >> 8) | (w << 24); }
+
+// T-tables (FIPS-197 §5.1 folded into word lookups): kTe[0][x] is the
+// MixColumns column (2·S[x], S[x], S[x], 3·S[x]) with row 0 in the most
+// significant byte, and kTe[i] is kTe[0] rotated right by 8·i bits, so one
+// round of SubBytes + ShiftRows + MixColumns is 16 lookups and 16 XORs.
+// Built at compile time from kSbox.
+constexpr std::array<std::array<u32, 256>, 4> make_te() {
+  std::array<std::array<u32, 256>, 4> te{};
+  for (unsigned x = 0; x < 256; ++x) {
+    const u8 s = kSbox[x];
+    const u8 s2 = xtime(s);
+    const u8 s3 = static_cast<u8>(s2 ^ s);
+    u32 w = (u32{s2} << 24) | (u32{s} << 16) | (u32{s} << 8) | s3;
+    for (auto& t : te) {
+      t[x] = w;
+      w = rotr8(w);
     }
   }
+  return te;
+}
+constexpr auto kTe = make_te();
+
+// State and round keys are big-endian column words: column c holds bytes
+// s[4c..4c+3], row 0 in the most significant byte.
+u32 load_be(const u8* p) {
+  return (u32{p[0]} << 24) | (u32{p[1]} << 16) | (u32{p[2]} << 8) | p[3];
 }
 
-void mix_columns(u8 s[16]) {
-  for (int col = 0; col < 4; ++col) {
-    u8* c = s + col * 4;
-    const u8 a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-    const u8 x = static_cast<u8>(a0 ^ a1 ^ a2 ^ a3);
-    c[0] = static_cast<u8>(a0 ^ x ^ xtime(static_cast<u8>(a0 ^ a1)));
-    c[1] = static_cast<u8>(a1 ^ x ^ xtime(static_cast<u8>(a1 ^ a2)));
-    c[2] = static_cast<u8>(a2 ^ x ^ xtime(static_cast<u8>(a2 ^ a3)));
-    c[3] = static_cast<u8>(a3 ^ x ^ xtime(static_cast<u8>(a3 ^ a0)));
+void store_be(u8* p, u32 w) {
+  p[0] = static_cast<u8>(w >> 24);
+  p[1] = static_cast<u8>(w >> 16);
+  p[2] = static_cast<u8>(w >> 8);
+  p[3] = static_cast<u8>(w);
+}
+
+using RoundWords = std::array<u32, (kAesRounds + 1) * 4>;
+
+RoundWords round_words(const AesKey& key) {
+  RoundWords rk;
+  for (std::size_t i = 0; i < rk.size(); ++i) {
+    rk[i] = load_be(key.round_keys.data() + i * 4);
   }
+  return rk;
 }
 
-void add_round_key(u8 s[16], const u8* rk) {
-  for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
+u8 byte_of(u32 w, unsigned row) {
+  return static_cast<u8>(w >> (24 - 8 * row));
+}
+
+// Output column c takes row r from input column c + r (ShiftRows).
+void encrypt_words(const RoundWords& rk, u8 block[kAesBlockSize]) {
+  u32 s[4];
+  for (unsigned c = 0; c < 4; ++c) s[c] = load_be(block + 4 * c) ^ rk[c];
+  for (std::size_t round = 1; round < kAesRounds; ++round) {
+    u32 t[4];
+    for (unsigned c = 0; c < 4; ++c) {
+      t[c] = kTe[0][byte_of(s[c], 0)] ^ kTe[1][byte_of(s[(c + 1) % 4], 1)] ^
+             kTe[2][byte_of(s[(c + 2) % 4], 2)] ^
+             kTe[3][byte_of(s[(c + 3) % 4], 3)] ^ rk[round * 4 + c];
+    }
+    for (unsigned c = 0; c < 4; ++c) s[c] = t[c];
+  }
+  for (unsigned c = 0; c < 4; ++c) {  // final round: no MixColumns
+    const u32 w = (u32{kSbox[byte_of(s[c], 0)]} << 24) |
+                  (u32{kSbox[byte_of(s[(c + 1) % 4], 1)]} << 16) |
+                  (u32{kSbox[byte_of(s[(c + 2) % 4], 2)]} << 8) |
+                  kSbox[byte_of(s[(c + 3) % 4], 3)];
+    store_be(block + 4 * c, w ^ rk[kAesRounds * 4 + c]);
+  }
 }
 
 }  // namespace
@@ -92,27 +136,18 @@ AesKey aes_expand_key(const u8 key[kAesKeySize]) {
 }
 
 void aes_encrypt_block(const AesKey& key, u8 block[kAesBlockSize]) {
-  add_round_key(block, key.round_keys.data());
-  for (std::size_t round = 1; round < kAesRounds; ++round) {
-    sub_bytes(block);
-    shift_rows(block);
-    mix_columns(block);
-    add_round_key(block, key.round_keys.data() + round * 16);
-  }
-  sub_bytes(block);
-  shift_rows(block);
-  add_round_key(block, key.round_keys.data() + kAesRounds * 16);
+  encrypt_words(round_words(key), block);
 }
 
 void aes_cbc_encrypt(const AesKey& key, const u8 iv[kAesBlockSize], u8* data,
                      std::size_t len) {
   LZ_CHECK(len % kAesBlockSize == 0);
-  u8 chain[kAesBlockSize];
-  std::memcpy(chain, iv, kAesBlockSize);
+  const RoundWords rk = round_words(key);
+  const u8* chain = iv;
   for (std::size_t off = 0; off < len; off += kAesBlockSize) {
     for (std::size_t i = 0; i < kAesBlockSize; ++i) data[off + i] ^= chain[i];
-    aes_encrypt_block(key, data + off);
-    std::memcpy(chain, data + off, kAesBlockSize);
+    encrypt_words(rk, data + off);
+    chain = data + off;
   }
 }
 

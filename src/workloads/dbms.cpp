@@ -52,11 +52,12 @@ DbmsResult run_dbms(const AppConfig& config, const DbmsParams& params) {
   };
 
   // Seed the visible rows.
-  const bool lz_pan = config.mech == Mechanism::kLzPan;
   driver.enter_domain(data_domain);
-  for (u64 i = 0; i < modelled_rows; ++i) {
-    (void)core.mem_write(data_va + i * kRowBytes, 8, i * 2654435761u);
-    (void)lz_pan;
+  {
+    const sim::Core::HostAccessScope batch(core);
+    for (u64 i = 0; i < modelled_rows; ++i) {
+      (void)core.mem_write(data_va + i * kRowBytes, 8, i * 2654435761u);
+    }
   }
   driver.exit_domain(data_domain);
 
@@ -80,11 +81,14 @@ DbmsResult run_dbms(const AppConfig& config, const DbmsParams& params) {
       const int table = static_cast<int>(rng.below(params.tables));
       const int row = static_cast<int>(rng.below(params.rows_per_table));
       driver.enter_domain(data_domain);
-      const auto r = core.mem_read(row_va(table, row), 8);
-      LZ_CHECK(r.ok);
-      checksum += r.value;
-      if (op < params.updates) {
-        (void)core.mem_write(row_va(table, row), 8, r.value + 1);
+      {
+        const sim::Core::HostAccessScope batch(core);
+        const auto r = core.mem_read(row_va(table, row), 8);
+        LZ_CHECK(r.ok);
+        checksum += r.value;
+        if (op < params.updates) {
+          (void)core.mem_write(row_va(table, row), 8, r.value + 1);
+        }
       }
       driver.exit_domain(data_domain);
       // Index lookup + row copy costs ride in app cycles.

@@ -98,11 +98,14 @@ HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
     for (int c = 0; c < params.gated_crypto_calls; ++c) {
       driver.enter_domain(key_id);
       u8 key[crypto::kAesKeySize];
-      const auto lo = core.mem_read(key_va, 8);
-      const auto hi = core.mem_read(key_va + 8, 8);
-      LZ_CHECK(lo.ok && hi.ok);
-      std::memcpy(key, &lo.value, 8);
-      std::memcpy(key + 8, &hi.value, 8);
+      {
+        const sim::Core::HostAccessScope batch(core);
+        const auto lo = core.mem_read(key_va, 8);
+        const auto hi = core.mem_read(key_va + 8, 8);
+        LZ_CHECK(lo.ok && hi.ok);
+        std::memcpy(key, &lo.value, 8);
+        std::memcpy(key + 8, &hi.value, 8);
+      }
       driver.exit_domain(key_id);
 
       if (c == 0) {
@@ -248,11 +251,14 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
         for (int c = 0; c < params.gated_crypto_calls; ++c) {
           enter_dom(key_id);
           u8 key[crypto::kAesKeySize];
-          const auto lo = core.mem_read(key_va, 8);
-          const auto hi = core.mem_read(key_va + 8, 8);
-          LZ_CHECK(lo.ok && hi.ok);
-          std::memcpy(key, &lo.value, 8);
-          std::memcpy(key + 8, &hi.value, 8);
+          {
+            const sim::Core::HostAccessScope batch(core);
+            const auto lo = core.mem_read(key_va, 8);
+            const auto hi = core.mem_read(key_va + 8, 8);
+            LZ_CHECK(lo.ok && hi.ok);
+            std::memcpy(key, &lo.value, 8);
+            std::memcpy(key + 8, &hi.value, 8);
+          }
           exit_dom();
           if (c == 0) {
             const auto expanded = crypto::aes_expand_key(key);

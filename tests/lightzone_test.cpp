@@ -7,6 +7,7 @@
 
 #include "arch/encode.h"
 #include "lightzone/api.h"
+#include "obs/counters.h"
 #include "sim/assembler.h"
 
 namespace lz::core {
@@ -334,6 +335,38 @@ TEST_F(LightZoneTest, FastPathGateSwitchCycles) {
   // TTBR0 now selects pgt1.
   EXPECT_EQ(env.machine->core().sysreg(SysReg::kTtbr0El1),
             lz.module().domain_ttbr(lz.ctx(), 1));
+}
+
+// A gate whose table was freed still passes validation, but it switches
+// through a zeroed TTBRTab slot: the gate's check trips its brk and the
+// module kills the process. That switch must report an error and must not
+// be recorded as a switch.
+TEST_F(LightZoneTest, GateThroughFreedTableKillsAndReportsError) {
+  auto& proc = env.new_process();
+  const VirtAddr dom_va = Env::kHeapVa + 0x30000;
+  LzProc lz = LzProc::enter(*env.module, proc, true, 1);
+  const int pgt1 = lz.lz_alloc().value();
+  ASSERT_TRUE(lz.lz_prot(dom_va, kPageSize, pgt1, kLzRead | kLzWrite).is_ok());
+  ASSERT_TRUE(lz.lz_map_gate_pgt(pgt1, 0).is_ok());
+  ASSERT_TRUE(lz.lz_set_gate_entry(0, Env::kCodeVa + 0x40).is_ok());
+  ASSERT_TRUE(lz.lz_free(pgt1).is_ok());
+
+  const auto& switches = obs::registry().histogram("lz.gate.switch_cycles");
+  const u64 recorded = switches.count();
+  lz.enter_world();
+  const auto r = lz.lz_switch_to_ttbr_gate(0);
+  lz.exit_world();
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().errc(), Errc::kPermissionDenied);
+  EXPECT_FALSE(proc.alive());
+  EXPECT_EQ(switches.count(), recorded);
+
+  // A dead process cannot switch at all.
+  lz.enter_world();
+  const auto again = lz.lz_switch_to_ttbr_gate(0);
+  lz.exit_world();
+  ASSERT_FALSE(again.is_ok());
+  EXPECT_EQ(again.status().errc(), Errc::kFailedPrecondition);
 }
 
 // Entering the world hands the core over in the state direct gate driving

@@ -5,6 +5,7 @@
 
 #include <cstring>
 
+#include "support/rng.h"
 #include "workloads/crypto/aes.h"
 #include "workloads/dbms.h"
 #include "workloads/httpd.h"
@@ -50,6 +51,97 @@ TEST(AesTest, CbcChainsBlocks) {
   crypto::aes_cbc_encrypt(expanded, iv, data, sizeof(data));
   // Identical plaintext blocks must differ under CBC.
   EXPECT_NE(std::memcmp(data, data + 16, 16), 0);
+}
+
+// Byte-wise FIPS-197 reference, independent of the library's tables: the
+// S-box is derived from GF(2^8) inversion plus the affine map, and each
+// round runs SubBytes, ShiftRows, MixColumns and AddRoundKey on bytes
+// (state column-major, s[col * 4 + row]).
+struct ByteAes {
+  u8 sbox[256];
+
+  ByteAes() {
+    const auto rotl = [](u8 x, int n) {
+      return static_cast<u8>((x << n) | (x >> (8 - n)));
+    };
+    u8 p = 1, q = 1;
+    do {  // p walks the powers of 3; q walks the inverse powers
+      p = static_cast<u8>(p ^ (p << 1) ^ ((p & 0x80) ? 0x1b : 0));
+      q = static_cast<u8>(q ^ (q << 1));
+      q = static_cast<u8>(q ^ (q << 2));
+      q = static_cast<u8>(q ^ (q << 4));
+      if (q & 0x80) q ^= 0x09;
+      sbox[p] = static_cast<u8>(q ^ rotl(q, 1) ^ rotl(q, 2) ^ rotl(q, 3) ^
+                                rotl(q, 4) ^ 0x63);
+    } while (p != 1);
+    sbox[0] = 0x63;  // zero has no inverse
+  }
+
+  static u8 xtime(u8 x) {
+    return static_cast<u8>((x << 1) ^ ((x >> 7) * 0x1b));
+  }
+
+  void encrypt_block(const crypto::AesKey& key, u8 s[16]) const {
+    const u8* rk = key.round_keys.data();
+    for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
+    for (std::size_t round = 1; round <= crypto::kAesRounds; ++round) {
+      u8 t[16];
+      for (int col = 0; col < 4; ++col) {
+        for (int row = 0; row < 4; ++row) {
+          t[col * 4 + row] = sbox[s[((col + row) % 4) * 4 + row]];
+        }
+      }
+      if (round != crypto::kAesRounds) {
+        for (int col = 0; col < 4; ++col) {
+          u8* c = t + col * 4;
+          const u8 a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
+          const u8 x = static_cast<u8>(a0 ^ a1 ^ a2 ^ a3);
+          c[0] = static_cast<u8>(a0 ^ x ^ xtime(static_cast<u8>(a0 ^ a1)));
+          c[1] = static_cast<u8>(a1 ^ x ^ xtime(static_cast<u8>(a1 ^ a2)));
+          c[2] = static_cast<u8>(a2 ^ x ^ xtime(static_cast<u8>(a2 ^ a3)));
+          c[3] = static_cast<u8>(a3 ^ x ^ xtime(static_cast<u8>(a3 ^ a0)));
+        }
+      }
+      for (int i = 0; i < 16; ++i) s[i] = t[i] ^ rk[round * 16 + i];
+    }
+  }
+
+  void cbc_encrypt(const crypto::AesKey& key, const u8 iv[16], u8* data,
+                   std::size_t len) const {
+    const u8* chain = iv;
+    for (std::size_t off = 0; off < len; off += 16) {
+      for (int i = 0; i < 16; ++i) data[off + i] ^= chain[i];
+      encrypt_block(key, data + off);
+      chain = data + off;
+    }
+  }
+};
+
+TEST(AesTest, ByteReferenceSboxMatchesFips197) {
+  const ByteAes ref;
+  EXPECT_EQ(ref.sbox[0x00], 0x63);
+  EXPECT_EQ(ref.sbox[0x01], 0x7c);
+  EXPECT_EQ(ref.sbox[0x53], 0xed);
+  EXPECT_EQ(ref.sbox[0xff], 0x16);
+}
+
+// The word-oriented (T-table) rounds must agree with the byte-wise
+// reference on 1 KiB of CBC output for 64 seeded keys, IVs and plaintexts.
+TEST(AesTest, CbcMatchesByteReferenceOnSeededKeys) {
+  const ByteAes ref;
+  Rng rng(20261017);
+  for (int k = 0; k < 64; ++k) {
+    u8 key[crypto::kAesKeySize], iv[crypto::kAesBlockSize], data[1024];
+    for (auto& b : key) b = static_cast<u8>(rng.next());
+    for (auto& b : iv) b = static_cast<u8>(rng.next());
+    for (auto& b : data) b = static_cast<u8>(rng.next());
+    u8 want[sizeof(data)];
+    std::memcpy(want, data, sizeof(data));
+    const auto expanded = crypto::aes_expand_key(key);
+    ref.cbc_encrypt(expanded, iv, want, sizeof(want));
+    crypto::aes_cbc_encrypt(expanded, iv, data, sizeof(data));
+    ASSERT_EQ(std::memcmp(data, want, sizeof(data)), 0) << "key " << k;
+  }
 }
 
 // --- Shared fixtures -----------------------------------------------------------
