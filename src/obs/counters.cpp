@@ -208,6 +208,36 @@ Registry& registry() {
   return r;
 }
 
+CycleLedger::Shard& CycleLedger::claim() {
+  std::lock_guard<std::mutex> lock(claim_mu_);
+  std::size_t i = 0;
+  while (i < kMaxShards && shards_[i].live) ++i;
+  LZ_CHECK(i < kMaxShards && "CycleLedger shard pool exhausted");
+  shards_[i].live = true;
+  if (i >= high_water_.load(std::memory_order_relaxed))
+    high_water_.store(i + 1, std::memory_order_release);
+  return shards_[i];
+}
+
+void CycleLedger::release(Shard& shard) {
+  std::lock_guard<std::mutex> lock(claim_mu_);
+  shard.live = false;
+}
+
+void CycleLedger::reset() {
+  const std::size_t n = high_water_.load(std::memory_order_acquire);
+  u64 total = 0;
+  std::array<u64, kMaxKinds> by_kind{};
+  for (std::size_t i = 0; i < n; ++i) {
+    total += shards_[i].total.load(std::memory_order_relaxed);
+    for (std::size_t k = 0; k < kMaxKinds; ++k)
+      by_kind[k] += shards_[i].by_kind[k].load(std::memory_order_relaxed);
+  }
+  base_total_.store(u64{0} - total, std::memory_order_relaxed);
+  for (std::size_t k = 0; k < kMaxKinds; ++k)
+    base_by_kind_[k].store(u64{0} - by_kind[k], std::memory_order_relaxed);
+}
+
 CycleLedger& cycle_ledger() {
   static CycleLedger l;
   return l;

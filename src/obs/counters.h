@@ -2,10 +2,10 @@
 //
 // This header provides the one labeled registry: every counter and latency
 // histogram in the process is a series `name{labels}` in obs::Registry,
-// with snapshot/delta/reset semantics, plus the global CycleLedger that
-// mirrors every CycleAccount charge so reports (and the event trace's
-// clock) can see simulated time without a reference to any particular
-// Machine.
+// with snapshot/delta/reset semantics, plus the global CycleLedger, a
+// lock-free sum over every CycleAccount's per-core shard, so reports (and
+// the event trace's clock) can see simulated time without a reference to
+// any particular Machine.
 //
 // Naming convention: `subsystem.object.event`, e.g. `mem.tlb.l1_hit`,
 // `sim.core.insn_retired`, `hv.host.hcr_retained`, `lz.module.gate_switch`.
@@ -27,11 +27,12 @@
 //     host_snapshot(), the report's `"host"` section.
 //
 // Everything here is process-global and thread-safe: the SMP machine runs
-// one std::thread per simulated core, so increments are relaxed atomic adds
-// (addition commutes — totals stay deterministic regardless of interleaving)
-// and registration/snapshot take the registry mutex. Determinism is part of
-// the contract (snapshots are name-sorted, values depend only on the
-// executed work).
+// one std::thread per simulated core, so counter increments are relaxed
+// atomic adds (addition commutes — totals stay deterministic regardless of
+// interleaving; the cycle ledger's single-writer shards need no add at
+// all) and registration/snapshot take the registry mutex. Determinism is
+// part of the contract (snapshots are name-sorted, values depend only on
+// the executed work).
 #pragma once
 
 #include <array>
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "obs/histogram.h"
+#include "support/status.h"
 #include "support/types.h"
 
 namespace lz::obs {
@@ -229,8 +231,9 @@ Registry& registry();
 
 namespace detail {
 // Next ledger total at which a time-series sample is due (timeseries.h).
-// Parked at ~0 while the sampler is disarmed so the hook in
-// CycleLedger::charge stays one relaxed load + one never-taken compare.
+// Parked at ~0 while the sampler is disarmed, so timeseries_armed() — the
+// hook in sim::CycleAccount::charge — is one relaxed load + one never-taken
+// compare.
 inline std::atomic<u64> g_ts_next_due{~u64{0}};
 }  // namespace detail
 
@@ -242,37 +245,94 @@ inline bool timeseries_armed() {
   return detail::g_ts_next_due.load(std::memory_order_relaxed) != ~u64{0};
 }
 
-// Out-of-line sampling slow path (timeseries.cpp); called only when a
-// charge crosses the due threshold.
-void timeseries_poll_slow(u64 total);
+// Out-of-line sampler poll (timeseries.cpp): called by every charge while
+// the sampler is armed, with the ledger total after that charge; samples
+// when the total crossed the due threshold.
+void timeseries_poll(u64 total);
 
-// Mirror of every CycleAccount charge in the process, indexed by the raw
-// CostKind value (obs sits below sim, so the enum itself lives there).
-// Doubles as the deterministic clock for the event trace: `total()` is the
-// total simulated work performed so far across all machines.
+// The process-wide cycle ledger: a lock-free view over per-core shards,
+// indexed by the raw CostKind value (obs sits below sim, so the enum itself
+// lives there). Doubles as the deterministic clock for the event trace and
+// the span tracer: `total()` is the total simulated work performed so far
+// across all machines.
+//
+// Every sim::CycleAccount owns one Shard, claimed from a fixed pool when
+// the account is constructed and released when it is destroyed. A shard
+// has one writer — the thread bound to the account's core through
+// Machine::CoreBinding — so a charge is a relaxed load and store per field,
+// never a read-modify-write, and no line shared between cores is written
+// per charge. Reads take no lock: the base that reset() sets plus the sum
+// over the shards up to the pool's high-water mark. Shard storage is never freed, so
+// a read on another thread can never touch a destroyed Machine. A released
+// shard keeps its counts — a destroyed Machine's cycles stay in the ledger
+// with no window in which a reader sees them twice or not at all — and the
+// next account to claim it counts from the values it finds there.
 class CycleLedger {
  public:
-  static constexpr std::size_t kMaxKinds = 32;
+  static constexpr std::size_t kMaxKinds = 16;
+  static constexpr std::size_t kMaxShards = 1024;
 
-  void charge(std::size_t kind, u64 cycles) {
-    const u64 total =
-        total_.fetch_add(cycles, std::memory_order_relaxed) + cycles;
-    by_kind_[kind].fetch_add(cycles, std::memory_order_relaxed);
-    if (total >= detail::g_ts_next_due.load(std::memory_order_relaxed))
-      timeseries_poll_slow(total);
+  struct alignas(64) Shard {
+    // The ledger's only write path; called by the shard's one writer. In
+    // LZ_CONF_CHECK builds a charge claims `busy` for its two stores, so a
+    // second thread charging the same core at the same time fails the
+    // check instead of silently losing cycles.
+    void add(std::size_t kind, u64 cycles) {
+#ifdef LZ_CONF_CHECK
+      const bool was_busy = busy.exchange(true, std::memory_order_acquire);
+      LZ_CHECK(!was_busy && "two threads charged one CycleAccount at once");
+#endif
+      total.store(total.load(std::memory_order_relaxed) + cycles,
+                  std::memory_order_relaxed);
+      by_kind[kind].store(
+          by_kind[kind].load(std::memory_order_relaxed) + cycles,
+          std::memory_order_relaxed);
+#ifdef LZ_CONF_CHECK
+      busy.store(false, std::memory_order_release);
+#endif
+    }
+
+    std::atomic<u64> total{0};
+    std::array<std::atomic<u64>, kMaxKinds> by_kind{};
+    std::atomic<bool> busy{false};
+    bool live = false;  // guarded by the ledger's claim mutex
+  };
+
+  // Claim the lowest free shard (LZ_CHECK fails when the pool is
+  // exhausted) and release it; the claim mutex serialises both, never a
+  // read.
+  Shard& claim();
+  void release(Shard& shard);
+
+  u64 total() const {
+    u64 sum = base_total_.load(std::memory_order_relaxed);
+    const std::size_t n = high_water_.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < n; ++i)
+      sum += shards_[i].total.load(std::memory_order_relaxed);
+    return sum;
   }
-  u64 total() const { return total_.load(std::memory_order_relaxed); }
   u64 of(std::size_t kind) const {
-    return by_kind_[kind].load(std::memory_order_relaxed);
+    u64 sum = base_by_kind_[kind].load(std::memory_order_relaxed);
+    const std::size_t n = high_water_.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < n; ++i)
+      sum += shards_[i].by_kind[kind].load(std::memory_order_relaxed);
+    return sum;
   }
-  void reset() {
-    total_.store(0, std::memory_order_relaxed);
-    for (auto& k : by_kind_) k.store(0, std::memory_order_relaxed);
+  // Shards ever claimed at once: the peak number of live accounts.
+  std::size_t high_water() const {
+    return high_water_.load(std::memory_order_acquire);
   }
+
+  // Zero total() and every of(kind) by setting the base to minus the shard
+  // sum (mod 2^64); live accounts keep their own totals.
+  void reset();
 
  private:
-  std::atomic<u64> total_{0};
-  std::array<std::atomic<u64>, kMaxKinds> by_kind_{};
+  std::array<Shard, kMaxShards> shards_;
+  std::atomic<std::size_t> high_water_{0};
+  std::atomic<u64> base_total_{0};
+  std::array<std::atomic<u64>, kMaxKinds> base_by_kind_{};
+  std::mutex claim_mu_;
 };
 
 CycleLedger& cycle_ledger();

@@ -66,6 +66,6 @@ TimeSeries& timeseries() {
   return series;
 }
 
-void timeseries_poll_slow(u64 total) { timeseries().poll(total); }
+void timeseries_poll(u64 total) { timeseries().poll(total); }
 
 }  // namespace lz::obs

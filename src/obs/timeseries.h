@@ -7,14 +7,15 @@
 // the fleet-scale serving bench plots stand on — emitted as the
 // `timeseries` section of lz.bench.report.v2.
 //
-// The sampler hooks the hottest function in the tree (CycleLedger::charge)
-// so the disabled cost had better be nothing: it is one relaxed load of
-// the next-due threshold (parked at ~0 when disarmed) and one compare.
-// When armed, the thread whose charge crosses the threshold CAS-claims the
-// sample; losers of the race skip. Sampling itself reads counters and
-// histogram stats — observe-only, zero simulated cycles charged, so cycle
-// totals and golden reports are byte-identical whether or not the sampler
-// runs.
+// The sampler hooks the hottest function in the tree
+// (sim::CycleAccount::charge) so the disabled cost had better be nothing:
+// it is one relaxed load of the next-due threshold (parked at ~0 when
+// disarmed) and one compare. When armed, every charge sums the ledger's
+// shards and polls out of line; the thread whose charge crosses the
+// threshold CAS-claims the sample, and losers of the race skip. Sampling
+// itself reads counters and histogram stats — observe-only, zero simulated
+// cycles charged, so cycle totals and golden reports are byte-identical
+// whether or not the sampler runs.
 //
 // Samples are timestamped by the ledger total at claim time. Under SMP the
 // claim interleaving (and so exact sample timestamps) may vary run to run;
@@ -37,9 +38,10 @@
 
 namespace lz::obs {
 
-// The due threshold (detail::g_ts_next_due) and the charge-path slow-path
-// declaration live in counters.h next to CycleLedger::charge, the hook
-// site; this header owns the sampler itself.
+// The due threshold (detail::g_ts_next_due) and the charge-path poll
+// declaration live in counters.h next to the CycleLedger; the hook site is
+// sim::CycleAccount::charge (sim/cost.h). This header owns the sampler
+// itself.
 
 struct TimeSeriesSample {
   Cycles ts = 0;  // ledger total when the sample was claimed
@@ -66,8 +68,9 @@ class TimeSeries {
   // Drop samples and disarm (test / session boundary).
   void reset();
 
-  // Called (out of line) by CycleLedger::charge when `total` crossed the
-  // due threshold; CAS-claims the sample slot and snapshots.
+  // Called (out of line) by every CycleAccount::charge while armed, with
+  // the ledger total after that charge; once `total` crossed the due
+  // threshold, CAS-claims the sample slot and snapshots.
   void poll(u64 total);
 
   // Force a sample at the current ledger total (end-of-run flush so short

@@ -470,7 +470,7 @@ class Core {
   // like the rest of obs v3: the profiler's per-instruction armed check in
   // step() is one predictable branch on `prof_on_`, while the heavier
   // instruments (flight recorder, span tracer, time-series sampler) ride
-  // the flush_pending() boundaries and CycleLedger::charge and never
+  // the flush_pending() boundaries and CycleAccount::charge and never
   // appear on the per-instruction path at all. The armed period is polled
   // (epoch compare, two relaxed loads) at run() entry and top-level step()
   // exit. The trace tier threads through the same scheme: at block

@@ -34,40 +34,51 @@ inline constexpr std::size_t kNumCostKinds =
 const char* to_string(CostKind kind);
 
 static_assert(kNumCostKinds <= obs::CycleLedger::kMaxKinds,
-              "CostKind no longer fits the obs::CycleLedger mirror");
+              "CostKind no longer fits an obs::CycleLedger shard");
 
-// Per-core cycle account. Charges come only from the owning core's thread;
-// the fields are relaxed atomics so another thread (e.g. the main thread
-// summing Machine::cycles() across cores) can read them without a data
-// race — addition commutes, so totals stay deterministic.
+// Per-core cycle account: one shard of the process-wide obs::CycleLedger,
+// claimed at construction and released at destruction. Charges come only
+// from the thread bound to the owning core (Machine::CoreBinding; the
+// scheduler, the SMP workloads and the fuzzers run one worker per core and
+// set up on the main thread), so a charge is a plain relaxed load and
+// store per field with no read-modify-write — LZ_CONF_CHECK builds trip if
+// two threads ever charge one account at once. Any thread may read the
+// totals (relaxed atomics, so e.g. the main thread summing
+// Machine::cycles() across cores is race-free; addition commutes, so
+// totals stay deterministic). A claimed shard may carry a previous
+// account's counts; this account counts from them.
 class CycleAccount {
  public:
+  CycleAccount() : shard_(obs::cycle_ledger().claim()) {
+    origin_total_ = shard_.total.load(std::memory_order_relaxed);
+    for (std::size_t k = 0; k < kNumCostKinds; ++k)
+      origin_[k] = shard_.by_kind[k].load(std::memory_order_relaxed);
+  }
+  ~CycleAccount() { obs::cycle_ledger().release(shard_); }
+  CycleAccount(const CycleAccount&) = delete;
+  CycleAccount& operator=(const CycleAccount&) = delete;
+
   void charge(CostKind kind, Cycles c) {
     assert(static_cast<std::size_t>(kind) <
                static_cast<std::size_t>(CostKind::kCount) &&
            "charge() with an out-of-range CostKind");
-    total_.fetch_add(c, std::memory_order_relaxed);
-    by_kind_[static_cast<std::size_t>(kind)].fetch_add(
-        c, std::memory_order_relaxed);
-    // Mirror into the process-wide ledger: reports aggregate per-kind
-    // spend across every Machine, and the event trace uses the ledger's
-    // running total as its deterministic clock.
-    obs::cycle_ledger().charge(static_cast<std::size_t>(kind), c);
+    shard_.add(static_cast<std::size_t>(kind), c);
+    if (obs::timeseries_armed())
+      obs::timeseries_poll(obs::cycle_ledger().total());
   }
 
-  Cycles total() const { return total_.load(std::memory_order_relaxed); }
-  Cycles of(CostKind kind) const {
-    return by_kind_[static_cast<std::size_t>(kind)].load(
-        std::memory_order_relaxed);
+  Cycles total() const {
+    return shard_.total.load(std::memory_order_relaxed) - origin_total_;
   }
-  void reset() {
-    total_.store(0, std::memory_order_relaxed);
-    for (auto& k : by_kind_) k.store(0, std::memory_order_relaxed);
+  Cycles of(CostKind kind) const {
+    const auto k = static_cast<std::size_t>(kind);
+    return shard_.by_kind[k].load(std::memory_order_relaxed) - origin_[k];
   }
 
  private:
-  std::atomic<Cycles> total_{0};
-  std::array<std::atomic<Cycles>, kNumCostKinds> by_kind_{};
+  obs::CycleLedger::Shard& shard_;
+  Cycles origin_total_ = 0;
+  std::array<Cycles, kNumCostKinds> origin_{};
 };
 
 }  // namespace lz::sim

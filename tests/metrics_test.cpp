@@ -25,6 +25,7 @@
 #include "obs/selfprof.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "sim/cost.h"
 #include "workloads/httpd.h"
 
 namespace lz {
@@ -367,7 +368,8 @@ TEST_F(MetricsTest, ResetAllDisarmsAndZeroesThePlane) {
   EXPECT_FALSE(obs::timeseries().armed());
   EXPECT_EQ(obs::selfprof().ticks(obs::SelfTier::kObs), 0u);
   // The disarmed sampler no longer rewrites the exposition file.
-  obs::cycle_ledger().charge(0, 1000);
+  sim::CycleAccount account;
+  account.charge(sim::CostKind::kInsn, 1000);
   EXPECT_FALSE(file_exists(probe));
   const auto series = series_of("reset.family");
   ASSERT_EQ(series.size(), 1u);  // registration survives, value is zeroed

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "lightzone/api.h"
 #include "mem/tlb.h"
 #include "obs/counters.h"
 #include "obs/expose.h"
@@ -186,7 +187,7 @@ TEST_F(ObsTest, SharedRingWrapsOldestFirstAndCountsDrops) {
   EXPECT_EQ(ring.items(), (std::vector<int>{2}));
 }
 
-// --- CycleLedger mirror ------------------------------------------------------
+// --- CycleLedger over per-core shards ----------------------------------------
 
 TEST_F(ObsTest, CycleAccountChargesMirrorIntoLedger) {
   sim::CycleAccount account;
@@ -199,6 +200,69 @@ TEST_F(ObsTest, CycleAccountChargesMirrorIntoLedger) {
       obs::cycle_ledger().of(static_cast<std::size_t>(sim::CostKind::kGate)),
       20u);
 }
+
+// The ledger is a view over the live accounts' shards: reset_all() must
+// zero it without touching the accounts, and later charges count from zero.
+TEST_F(ObsTest, ResetAllZeroesTheLedgerOverLiveAccounts) {
+  sim::CycleAccount a;
+  sim::CycleAccount b;
+  a.charge(sim::CostKind::kInsn, 40);
+  b.charge(sim::CostKind::kGate, 25);
+  b.charge(sim::CostKind::kTlb, 3);
+  obs::reset_all();
+  const auto& ledger = obs::cycle_ledger();
+  EXPECT_EQ(ledger.total(), 0u);
+  for (std::size_t k = 0; k < obs::CycleLedger::kMaxKinds; ++k)
+    EXPECT_EQ(ledger.of(k), 0u) << "kind " << k;
+  EXPECT_EQ(a.total(), 40u);  // the accounts keep their own totals
+  EXPECT_EQ(b.total(), 28u);
+
+  a.charge(sim::CostKind::kInsn, 5);
+  b.charge(sim::CostKind::kGate, 7);
+  EXPECT_EQ(ledger.total(), 12u);
+  EXPECT_EQ(ledger.of(static_cast<std::size_t>(sim::CostKind::kInsn)), 5u);
+  EXPECT_EQ(ledger.of(static_cast<std::size_t>(sim::CostKind::kGate)), 7u);
+  EXPECT_EQ(ledger.of(static_cast<std::size_t>(sim::CostKind::kTlb)), 0u);
+}
+
+// fig3-style runs build and drop one Env per scenario: a destroyed
+// Machine's cycles must stay in the ledger, and an account that reuses its
+// shard must count from zero.
+TEST_F(ObsTest, DestroyedMachinesKeepTheirCyclesInTheLedger) {
+  Cycles sum = 0;
+  for (int i = 0; i < 3; ++i) {
+    core::Env env;
+    auto& proc = env.new_process();
+    LZ_CHECK_OK(env.kern().populate_page(
+        proc, core::Env::kHeapVa, kernel::kProtRead | kernel::kProtWrite));
+    env.kern().load_ctx(proc, env.machine->core());
+    env.machine->core().pstate().el = arch::ExceptionLevel::kEl0;
+    for (int r = 0; r < 16; ++r)
+      (void)env.machine->core().mem_read(core::Env::kHeapVa, 8);
+    env.machine->charge(sim::CostKind::kWorkload, 1000 * (i + 1));
+    EXPECT_EQ(env.machine->account(0).of(sim::CostKind::kWorkload),
+              Cycles{1000} * (i + 1));
+    sum += env.machine->cycles();
+  }
+  EXPECT_GT(sum, Cycles{6000});
+  EXPECT_EQ(obs::cycle_ledger().total(), sum);
+  EXPECT_EQ(obs::cycle_ledger().of(
+                static_cast<std::size_t>(sim::CostKind::kWorkload)),
+            6000u);
+}
+
+#ifdef LZ_CONF_CHECK
+// The single-writer tripwire: a charge that finds its shard held by a
+// writer still mid-charge aborts instead of losing cycles. Holding the busy
+// flag stands in for that second writer, so the death is deterministic.
+TEST_F(ObsTest, ChargeOnABusyShardTripsInCheckBuilds) {
+  obs::CycleLedger::Shard& shard = obs::cycle_ledger().claim();
+  shard.busy.store(true);
+  EXPECT_DEATH(shard.add(0, 1), "two threads charged one CycleAccount");
+  shard.busy.store(false);
+  obs::cycle_ledger().release(shard);
+}
+#endif
 
 TEST_F(ObsTest, EveryCostKindHasAName) {
   for (std::size_t k = 0; k < sim::kNumCostKinds; ++k) {

@@ -3,6 +3,9 @@
 // multi-threaded scheduler, and the Status-based Table-2 API error paths.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "lightzone/api.h"
@@ -194,6 +197,75 @@ TEST_F(StatusApiTest, Table2ShimsSpeakErrno) {
             -22);
   EXPECT_EQ(table2::lz_map_gate_pgt(lz, 0, 100000), -22);
   EXPECT_EQ(table2::lz_set_gate_entry(lz, 100000, Env::kCodeVa), -22);
+}
+
+// The cycle ledger is a lock-free sum over per-core shards: four workers
+// bound to four cores charge a known per-kind pattern while a fifth thread
+// reads the total. Reads never go backwards, and after the join the ledger
+// and every per-kind total are exact. Under the TSan leg this doubles as
+// the data-race proof for the single-writer shard protocol, and in
+// LZ_CONF_CHECK builds the shard tripwire is armed throughout.
+TEST(SmpLedgerTest, ConcurrentChargesSumExactlyUnderAReader) {
+  constexpr unsigned kCores = 4;
+  constexpr u64 kRounds = 200000;
+  Machine machine(arch::Platform::cortex_a55(), /*seed=*/42, kCores);
+  const auto& ledger = obs::cycle_ledger();
+  const u64 total0 = ledger.total();
+  std::array<u64, sim::kNumCostKinds> kind0{};
+  for (std::size_t k = 0; k < sim::kNumCostKinds; ++k) kind0[k] = ledger.of(k);
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    u64 last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const u64 now = ledger.total() - total0;
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  });
+  std::vector<std::thread> workers;
+  for (unsigned c = 0; c < kCores; ++c) {
+    workers.emplace_back([&machine, c] {
+      Machine::CoreBinding bind(machine, c);
+      for (u64 i = 0; i < kRounds; ++i) {
+        machine.charge(static_cast<CostKind>((i + c) % sim::kNumCostKinds),
+                       c + 1);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  std::array<u64, sim::kNumCostKinds> expected{};
+  u64 expected_total = 0;
+  for (unsigned c = 0; c < kCores; ++c) {
+    for (u64 i = 0; i < kRounds; ++i)
+      expected[(i + c) % sim::kNumCostKinds] += c + 1;
+    expected_total += kRounds * (c + 1);
+  }
+  EXPECT_EQ(machine.cycles(), expected_total);
+  EXPECT_EQ(ledger.total() - total0, expected_total);
+  for (std::size_t k = 0; k < sim::kNumCostKinds; ++k)
+    EXPECT_EQ(ledger.of(k) - kind0[k], expected[k]) << "kind " << k;
+}
+
+// Shard storage is a fixed pool owned by the ledger: a Machine that dies
+// releases its accounts' shards for the next one, so 1,000 sequential
+// Machines never raise the high-water mark past the peak number of live
+// accounts.
+TEST(SmpLedgerTest, SequentialMachinesReuseLedgerShards) {
+  const auto& plat = arch::Platform::cortex_a55();
+  const auto& ledger = obs::cycle_ledger();
+  const std::size_t before = ledger.high_water();
+  { Machine first(plat, 42, 4); }
+  const std::size_t peak = ledger.high_water();
+  EXPECT_LE(peak, before + 4);
+  for (u64 i = 0; i < 1000; ++i) {
+    Machine machine(plat, 42 + i, 4);
+    machine.charge(CostKind::kWorkload, 1);
+  }
+  EXPECT_EQ(ledger.high_water(), peak);
 }
 
 // Back-to-back scenarios in one binary must not bleed counters into each
