@@ -25,23 +25,23 @@ expect_exit() {
 # histograms with percentiles and the cycle-sampling profile with
 # per-domain attribution, and must round-trip through the repo's own
 # validator.
-report=/tmp/t5.json
-rm -f "$report"
-build/bench/table5_switch --json "$report" >/dev/null
-test -s "$report"
-grep -q '"schema":"lz.bench.report.v2"' "$report"
-grep -q '"counters":{' "$report"
-grep -q '"mem.tlb.l1_hit"' "$report"
-grep -q '"histograms":{' "$report"
-grep -q '"lz.gate.switch_cycles"' "$report"
-grep -q '"p99":' "$report"
-grep -q '"profile":{' "$report"
-grep -q '"by_domain":{"vmid' "$report"
-build/bench/lz_report "$report"
+v2_a=/tmp/t5.v2.a.json
+rm -f "$v2_a"
+build/bench/table5_switch --json "$v2_a" >/dev/null
+test -s "$v2_a"
+grep -q '"schema":"lz.bench.report.v2"' "$v2_a"
+grep -q '"counters":{' "$v2_a"
+grep -q '"mem.tlb.l1_hit"' "$v2_a"
+grep -q '"histograms":{' "$v2_a"
+grep -q '"lz.gate.switch_cycles"' "$v2_a"
+grep -q '"p99":' "$v2_a"
+grep -q '"profile":{' "$v2_a"
+grep -q '"by_domain":{"vmid' "$v2_a"
+build/bench/lz_report "$v2_a"
 
 # The validator must refuse a damaged report: a truncated copy is malformed
 # JSON, which lz_report rejects as a load error (exit 2).
-head -c 2000 "$report" > /tmp/t5.truncated.json
+head -c 2000 "$v2_a" > /tmp/t5.truncated.json
 expect_exit 2 build/bench/lz_report /tmp/t5.truncated.json
 
 # v2 determinism: everything in the simulated sections runs on the
@@ -51,17 +51,14 @@ expect_exit 2 build/bench/lz_report /tmp/t5.truncated.json
 # one legitimate difference between the two engines, so the gate is
 # lz_report --require-sim-identical (strip "host", compare dumps) rather
 # than a raw cmp.
-v2_a=/tmp/t5.v2.a.json
 v2_b=/tmp/t5.v2.b.json
-rm -f "$v2_a" "$v2_b"
-build/bench/table5_switch --json "$v2_a" >/dev/null
+rm -f "$v2_b"
 LZ_TRACE_TIER=0 build/bench/table5_switch --json "$v2_b" >/dev/null
-build/bench/lz_report "$v2_a" "$v2_b" \
-  --require-cycles-equal --require-sim-identical >/dev/null
+build/bench/lz_report "$v2_a" "$v2_b" --require-sim-identical >/dev/null
 # Tier-off golden gate: the entire PMU/profiler/histogram stack is
 # observe-only, and the interpreter-only run must reproduce every simulated
-# byte of the checked-in golden (the tier-on byte-compare is the ttbr_pan
-# backend leg below).
+# byte of the checked-in golden (the tier-on byte-compare is the cmp in the
+# backend matrix below).
 build/bench/lz_report BENCH_table5_v2.json "$v2_b" \
   --require-sim-identical >/dev/null
 
@@ -95,11 +92,42 @@ golden_leg BENCH_fig5_v2.json build/bench/fig5_nvm
 golden_leg BENCH_table5_cores4_v2.json build/bench/table5_switch --cores 4
 golden_leg BENCH_fig3_cores4_v2.json build/bench/fig3_nginx --cores 4
 
-# Regression gates via lz_report against the checked-in v2 baseline: the
-# simulated cycle total must match exactly (observe-only contract) and the
-# gate-switch p99 may not regress more than 10%.
-build/bench/lz_report BENCH_table5_v2.json "$v2_a" \
-  --require-cycles-equal --hist-max lz.gate.switch_cycles:10 >/dev/null
+# Every golden rests on --require-sim-identical alone, so each lz_report
+# gate must be shown able to fail (exit 1): a golden copy with one digit of
+# a simulated counter changed, one with cycles.total changed, and a MIPS
+# floor no run can reach. A gate value that is not a finite number in range
+# (nan, inf, a regression allowance above 100%) is a usage error (exit 2).
+# bump_digit REGEX IN OUT: OUT is IN with the last digit of REGEX's first
+# match raised by one, mod 10.
+bump_digit() {
+  awk -v re="$1" '{
+    if (match($0, re)) {
+      p = RSTART + RLENGTH - 1
+      $0 = substr($0, 1, p - 1) ((substr($0, p, 1) + 1) % 10) substr($0, p + 1)
+    }
+    print
+  }' "$2" > "$3"
+  if cmp -s "$2" "$3"; then
+    echo "ci.sh: bump_digit: no match for '$1' in $2" >&2
+    exit 1
+  fi
+}
+bump_digit '"mem[.]tlb[.]l1_hit":[0-9]+' BENCH_table5_v2.json \
+  /tmp/t5.l1_hit.json
+expect_exit 1 build/bench/lz_report BENCH_table5_v2.json /tmp/t5.l1_hit.json \
+  --require-sim-identical
+bump_digit '"cycles":[{]"total":[0-9]+' BENCH_table5_v2.json \
+  /tmp/t5.cycles.json
+expect_exit 1 build/bench/lz_report BENCH_table5_v2.json /tmp/t5.cycles.json \
+  --require-cycles-equal
+expect_exit 1 build/bench/lz_report BENCH_throughput.json \
+  BENCH_throughput.json --result-floor straight_line.mips.median:1e12
+expect_exit 2 build/bench/lz_report BENCH_throughput.json \
+  BENCH_throughput.json --result-floor straight_line.mips.median:nan
+expect_exit 2 build/bench/lz_report BENCH_throughput.json \
+  BENCH_throughput.json --result-min straight_line.mips.median:inf
+expect_exit 2 build/bench/lz_report BENCH_throughput.json \
+  BENCH_throughput.json --result-min straight_line.mips.median:150
 
 # The shared flag parser rejects unknown flags loudly (exit 2), so a typo
 # can never silently run the wrong experiment — and --help documents the
@@ -147,20 +175,20 @@ build/bench/lz_report "$fig3_json"
 # the sim.trace.* host counters with the tier on and none with it off, so
 # the "host" sections legitimately differ while every simulated section
 # must stay byte-identical — exactly what --require-sim-identical gates.
-# (No --ts-period here: SMP sample timestamps are host-scheduling
-# dependent, see EXPERIMENTS.md.)
-fig3_on=/tmp/fig3.obs.trace_on.json
+# The tier-on run is the 4-core fig3 golden leg's output. (No --ts-period
+# here: SMP sample timestamps are host-scheduling dependent, see
+# EXPERIMENTS.md.)
+fig3_on=/tmp/BENCH_fig3_cores4_v2.new.json
 fig3_off=/tmp/fig3.obs.notrace.json
-rm -f "$fig3_on" "$fig3_off"
-build/bench/fig3_nginx --cores 4 --json "$fig3_on" >/dev/null
+rm -f "$fig3_off"
 LZ_TRACE_TIER=0 build/bench/fig3_nginx --cores 4 --json "$fig3_off" >/dev/null
 grep -q '"host":{"sim.trace.' "$fig3_on"
 if grep -q '"host":' "$fig3_off"; then
   echo "ci.sh: tier-off run unexpectedly registered host counters" >&2
   exit 1
 fi
-build/bench/lz_report "$fig3_on" "$fig3_off" \
-  --require-cycles-equal --require-sim-identical >/dev/null
+build/bench/lz_report "$fig3_on" "$fig3_off" --require-sim-identical \
+  >/dev/null
 
 # --metrics-out smoke: the per-tenant exposition must carry the per-worker
 # rps and request-latency summaries plus the per-tenant/domain switch-cycle
@@ -188,8 +216,8 @@ build/bench/table5_switch --json "$t5_metrics" --metrics-out "$t5_expo" \
   >/dev/null
 test -s "$t5_expo"
 grep -q '^lz_tenant_gate_switch_cycles{tenant=' "$t5_expo"
-build/bench/lz_report "$v2_a" "$t5_metrics" \
-  --require-cycles-equal --require-sim-identical >/dev/null
+build/bench/lz_report "$v2_a" "$t5_metrics" --require-sim-identical \
+  >/dev/null
 
 # Overhead self-audit, part 2: with --self-profile the obs stack attributes
 # its own host wall-clock (sampling, rendering, live exposition rewrites)
@@ -236,28 +264,6 @@ mkdir -p "$goldens"
   sha256sum --quiet -c "$repo/bench/obs_goldens.sha256"
 )
 
-# Trend gate: the checked-in bench history must accept a fresh table5 run
-# (cycles.total is simulated, so the drift from the recorded median is
-# exactly zero) and append it — run against a scratch copy so the tree
-# stays clean.
-trend_hist=/tmp/history.jsonl
-cp bench/history/history.jsonl "$trend_hist"
-build/bench/lz_report --trend "$v2_a" --history "$trend_hist" \
-  --trend-max-drift 0.5 >/dev/null
-test "$(wc -l < "$trend_hist")" -eq \
-  "$(( $(wc -l < bench/history/history.jsonl) + 1 ))"
-
-# SMP determinism smoke: the 4-core Table 5 run (per-core TLB hit rates,
-# concurrent scheduler threads) must be byte-identical across two runs.
-smp_a=/tmp/t5.smp.a.json
-smp_b=/tmp/t5.smp.b.json
-rm -f "$smp_a" "$smp_b"
-build/bench/table5_switch --cores 4 --json "$smp_a" >/dev/null
-build/bench/table5_switch --cores 4 --json "$smp_b" >/dev/null
-cmp "$smp_a" "$smp_b"
-grep -q '"sim.core3.tlb.l1_hit"' "$smp_a"
-build/bench/lz_report "$smp_a"
-
 # Differential fuzz gate (DESIGN.md section 10): >=10k seeded Table-2 ops
 # across 4 cores through live module + shadow model. The binary exits
 # non-zero on any status divergence, TLB-vs-walk divergence, non-byte-
@@ -274,21 +280,15 @@ build/bench/fuzz_table2 --seed 20260805 --cores 2 --ops 1500
 build/bench/fuzz_a64 --seed 1 --cores 4 --streams 2000
 build/bench/fuzz_a64 --seed 20260808 --cores 2 --streams 1500
 
-# Backend matrix (DESIGN.md section 14): every IsolationBackend runs the
-# Table-5 program and a fuzz smoke through the identical op generator. The
-# ttbr_pan leg is the refactor gate — routing the verbs through the
-# interface may not move a byte of the checked-in golden. The model legs
-# must emit schema-valid v2 reports and fuzz divergence-free.
+# Backend matrix (DESIGN.md section 14): every IsolationBackend fuzzes
+# divergence-free through the identical op generator; the golden legs above
+# pin each model backend's Table-5 program. The default (ttbr_pan) table5
+# run is the refactor gate — routing the verbs through the interface may
+# not move a byte of the checked-in golden, its "host" section included.
+cmp "$v2_a" BENCH_table5_v2.json
 for backend in ttbr_pan poe cca watchpoint lwc; do
-  bk=/tmp/t5.backend.$backend.json
-  rm -f "$bk"
-  build/bench/table5_switch --backend "$backend" --json "$bk" >/dev/null
-  build/bench/lz_report "$bk"
   build/bench/fuzz_table2 --backend "$backend" --seed 7 --cores 2 --ops 800
 done
-cmp /tmp/t5.backend.ttbr_pan.json BENCH_table5_v2.json
-grep -q '"backend.poe.cortex_host.128.key_recycles"' /tmp/t5.backend.poe.json
-grep -q '"backend.cca.cortex_host.128.gpt_walks"' /tmp/t5.backend.cca.json
 tp_poe=/tmp/throughput.backend.poe.json
 rm -f "$tp_poe"
 build/bench/throughput --backend poe --json "$tp_poe" >/dev/null
