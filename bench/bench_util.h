@@ -1,8 +1,9 @@
 // Shared plumbing for the bench binaries' command lines and reports.
 //
-// Every bench main parses its flags through one parser (no per-binary
-// hand-rolled loops). ObsSession itself reads the observability flags, so
-// all seven binaries accept them:
+// Every bench main, fuzz_table2 and fuzz_a64 included, parses its flags
+// through one strict parser (FlagParser below; no per-binary hand-rolled
+// loops). ObsSession itself reads the observability flags, so all seven
+// report-writing binaries accept them:
 //
 //   --json <path>           write a machine-readable lz.bench.report.v2
 //                           document (headline results, per-CostKind cycle
@@ -33,8 +34,9 @@
 // Three more flags steer the workload, and a binary accepts one only when
 // its main reads it (passes the matching BenchFlag to ObsSession):
 //
-//   --cores <N>             size of the SMP machine (0 = binary default)
-//   --iters <K>             workload scale factor (default 1)
+//   --cores <N>             size of the SMP machine, 1-64 (binary default
+//                           when not given)
+//   --iters <K>             workload scale factor (default 1; 0 exits 2)
 //   --backend <B>           isolation backend to evaluate: ttbr_pan
 //                           (default — the live LightZone module; leaves
 //                           every golden byte-identical), poe, cca,
@@ -66,7 +68,8 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -157,84 +160,111 @@ inline void print_bench_usage(const char* argv0, unsigned accepted,
                "(A/B: tier speedup)\n");
 }
 
+// The strict command-line walker every bench and fuzz main parses through.
+// take() matches `--flag V` and `--flag=V`; take_number() also requires V
+// to be a whole decimal in [lo, hi] (no sign, trailing characters or
+// overflow). die() names the offender, prints the usage text to stderr and
+// exits 2; --help / -h print it to stdout and exit 0.
+class FlagParser {
+ public:
+  FlagParser(int argc, char** argv, std::function<void(std::FILE*)> usage)
+      : argc_(argc), argv_(argv), usage_(std::move(usage)) {}
+
+  // Steps to the next argument; false once argv is used up.
+  bool next() {
+    if (++i_ >= argc_) return false;
+    arg_ = argv_[i_];
+    if (arg_ == "--help" || arg_ == "-h") {
+      usage_(stdout);
+      std::exit(0);
+    }
+    return true;
+  }
+  const std::string& arg() const { return arg_; }
+
+  bool take(std::string_view flag, std::string* dst) {
+    if (arg_ == flag) {
+      if (i_ + 1 >= argc_) die("missing value for", arg_);
+      *dst = argv_[++i_];
+      return true;
+    }
+    if (arg_.size() <= flag.size() + 1 || !arg_.starts_with(flag) ||
+        arg_[flag.size()] != '=') {
+      return false;
+    }
+    *dst = arg_.substr(flag.size() + 1);
+    return true;
+  }
+
+  template <class T>
+  bool take_number(std::string_view flag, T* dst, u64 lo = 0,
+                   u64 hi = std::numeric_limits<T>::max()) {
+    std::string value;
+    if (!take(flag, &value)) return false;
+    u64 n = 0;
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc() || ptr != end || n < lo || n > hi) {
+      die("bad value for " + std::string(flag) + ":", value);
+    }
+    *dst = static_cast<T>(n);
+    return true;
+  }
+
+  core::BackendKind backend(const std::string& value) const {
+    const auto kind = core::backend_from_string(value);
+    if (!kind) die("unknown backend", value);
+    return *kind;
+  }
+
+  [[noreturn]] void die(const std::string& what,
+                        const std::string& arg) const {
+    std::fprintf(stderr, "%s: %s '%s'\n", argv_[0], what.c_str(), arg.c_str());
+    usage_(stderr);
+    std::exit(2);
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  std::function<void(std::FILE*)> usage_;
+  int i_ = 0;
+  std::string arg_;
+};
+
+// Largest --cores any bench or fuzz main accepts.
+inline constexpr u64 kMaxCores = 64;
+
 // Parses argv against the shared flag set plus the workload flags in
 // `accepted`. Anything else (and malformed values for known flags) is
 // fatal: exit(2) with a message naming the offender.
 inline ObsOptions parse_bench_flags(int argc, char** argv, unsigned accepted) {
   ObsOptions opts;
-  std::string cores_str, period_str, ts_period_str, iters_str, backend_str;
-  const auto die = [&](const char* what, const std::string& arg) {
-    std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, arg.c_str());
-    print_bench_usage(argv[0], accepted, stderr);
-    std::exit(2);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--help" || arg == "-h") {
-      print_bench_usage(argv[0], accepted, stdout);
-      std::exit(0);
-    }
-    const auto take = [&](std::string_view flag, std::string* dst) {
-      if (arg == flag) {
-        if (i + 1 >= argc) die("missing value for", std::string(arg));
-        *dst = argv[++i];
-        return true;
-      }
-      if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-          arg[flag.size()] == '=') {
-        *dst = std::string(arg.substr(flag.size() + 1));
-        return true;
-      }
-      return false;
-    };
-    if (arg == "--self-profile") {
+  std::string backend_str;
+  FlagParser p(argc, argv, [&](std::FILE* out) {
+    print_bench_usage(argv[0], accepted, out);
+  });
+  while (p.next()) {
+    if (p.arg() == "--self-profile") {
       opts.self_profile = true;
-      continue;
+    } else if (!(p.take("--json", &opts.json_path) ||
+                 p.take("--metrics-out", &opts.metrics_path) ||
+                 p.take("--trace", &opts.trace_path) ||
+                 p.take("--profile", &opts.profile_path) ||
+                 p.take_number("--sample-period", &opts.sample_period) ||
+                 p.take_number("--ts-period", &opts.ts_period) ||
+                 ((accepted & kCoresFlag) &&
+                  p.take_number("--cores", &opts.cores, 1, kMaxCores)) ||
+                 ((accepted & kItersFlag) &&
+                  p.take_number("--iters", &opts.iters, 1)) ||
+                 ((accepted & kBackendFlag) &&
+                  p.take("--backend", &backend_str)))) {
+      p.die("unknown flag", p.arg());
     }
-    if (take("--json", &opts.json_path) ||
-        take("--metrics-out", &opts.metrics_path) ||
-        take("--trace", &opts.trace_path) ||
-        take("--profile", &opts.profile_path) ||
-        take("--sample-period", &period_str) ||
-        take("--ts-period", &ts_period_str) ||
-        ((accepted & kCoresFlag) && take("--cores", &cores_str)) ||
-        ((accepted & kItersFlag) && take("--iters", &iters_str)) ||
-        ((accepted & kBackendFlag) && take("--backend", &backend_str))) {
-      continue;
-    }
-    die("unknown flag", std::string(arg));
   }
-  // The whole value must be a decimal u64: no sign, no trailing
-  // characters, no overflow.
-  const auto number = [&](const char* what, const std::string& value) {
-    u64 n = 0;
-    const char* end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
-    if (ec != std::errc() || ptr != end) die(what, value);
-    return n;
-  };
-  if (!cores_str.empty()) {
-    const u64 n = number("bad core count", cores_str);
-    if (n < 1 || n > 64) die("bad core count", cores_str);
-    opts.cores = static_cast<unsigned>(n);
-  }
-  if (!period_str.empty()) {
-    opts.sample_period = number("bad sample period", period_str);
-  }
-  if (!ts_period_str.empty()) {
-    opts.ts_period = number("bad time-series period", ts_period_str);
-  }
-  if (!iters_str.empty()) {
-    opts.iters = number("bad iteration count", iters_str);
-    if (opts.iters == 0) opts.iters = 1;
-  }
-  if (!backend_str.empty()) {
-    const auto kind = core::backend_from_string(backend_str);
-    if (!kind) die("unknown backend", backend_str);
-    opts.backend = *kind;
-  }
+  if (!backend_str.empty()) opts.backend = p.backend(backend_str);
   if (opts.cores > 0 && opts.backend != core::BackendKind::kTtbrPan) {
-    die("--cores needs the ttbr_pan backend, got --backend", backend_str);
+    p.die("--cores needs the ttbr_pan backend, got --backend", backend_str);
   }
   return opts;
 }

@@ -1,4 +1,4 @@
-// Encoded-A64 stream fuzz driver (ISSUE 8).
+// Encoded-A64 stream fuzz driver.
 //
 //   fuzz_a64 [--seed S] [--cores N] [--streams M] [--insns K]
 //            [--max-steps T]
@@ -7,106 +7,42 @@
 // each, processes pinned round-robin over N cores) through the full
 // LightZone entry/sanitizer/gate/fault path with every in-build oracle
 // armed — the break-before-make write-protocol monitor on all PTE stores
-// and the TLB-vs-walk cross-check on every TLB hit — three times:
-//
-//   run A, run B (same config)      — must be byte-identical: same outcome
-//                                     streams, same hash, same counters.
-//   run C (same streams, 1 core)    — must produce the same outcome streams
-//                                     and the same counters modulo the
-//                                     documented SMP-variant set.
+// and the TLB-vs-walk cross-check on every TLB hit — through
+// check::replay_gate: twice on N cores, which must be byte-identical, and
+// once on 1 core, which must produce the same outcome streams and the same
+// counters modulo the documented SMP-variant set.
 //
 // Any oracle divergence aborts fail-stop with a flight-recorder dump; any
 // replay mismatch prints the offending stream's words (the byte-identical
-// reproducer) and exits nonzero.
+// reproducer) and exits nonzero. A malformed or zero value, or --cores
+// outside 1-64, exits 2 before any run.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
+#include "bench_util.h"
 #include "check/fuzz_a64.h"
 #include "obs/flight.h"
 
-namespace {
-
-using lz::check::FuzzA64Config;
-using lz::check::FuzzA64Result;
-
-int g_failures = 0;
-
-void expect(bool ok, const std::string& what) {
-  if (ok) {
-    std::printf("  ok: %s\n", what.c_str());
-  } else {
-    std::printf("  FAIL: %s\n", what.c_str());
-    ++g_failures;
-  }
-}
-
-// On an outcome mismatch, dump the first offending stream's words in hex:
-// together with the seed that is the byte-identical reproducer.
-void dump_mismatch(const FuzzA64Result& a, const FuzzA64Result& b,
-                   const char* runs) {
-  for (std::size_t s = 0; s < a.outcome_streams.size() &&
-                          s < b.outcome_streams.size();
-       ++s) {
-    if (a.outcome_streams[s] == b.outcome_streams[s]) continue;
-    std::printf("  first mismatching stream (%s): %zu\n", runs, s);
-    std::printf("    outcome A:");
-    for (const auto byte : a.outcome_streams[s]) std::printf(" %02x", byte);
-    std::printf("\n    outcome B:");
-    for (const auto byte : b.outcome_streams[s]) std::printf(" %02x", byte);
-    std::printf("\n    words:");
-    for (std::size_t i = 0; i < a.words[s].size(); ++i) {
-      std::printf("%s%08x", i % 8 == 0 ? "\n      " : " ", a.words[s][i]);
-    }
-    std::printf("\n");
-    return;
-  }
-}
-
-unsigned long long parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 0);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using lz::check::FuzzA64Config;
   FuzzA64Config cfg;
   cfg.seed = 1;
   cfg.cores = 4;
-  cfg.streams = 0;  // = cores
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) != 0 || i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (const char* v = next("--seed")) {
-      cfg.seed = parse_u64(v);
-    } else if (const char* v = next("--cores")) {
-      cfg.cores = static_cast<unsigned>(parse_u64(v));
-    } else if (const char* v = next("--streams")) {
-      cfg.streams = static_cast<unsigned>(parse_u64(v));
-    } else if (const char* v = next("--insns")) {
-      cfg.insns_per_stream = static_cast<int>(parse_u64(v));
-    } else if (const char* v = next("--max-steps")) {
-      cfg.max_steps = parse_u64(v);
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      std::printf(
-          "usage: %s [--seed S] [--cores N] [--streams M] [--insns K] "
-          "[--max-steps T]\n",
-          argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
-      std::fprintf(stderr,
-                   "usage: %s [--seed S] [--cores N] [--streams M] "
-                   "[--insns K] [--max-steps T]\n",
-                   argv[0]);
-      return 2;
+  lz::bench::FlagParser flags(argc, argv, [argv](std::FILE* out) {
+    std::fprintf(out,
+                 "usage: %s [--seed S] [--cores N] [--streams M] [--insns K] "
+                 "[--max-steps T]\n",
+                 argv[0]);
+  });
+  while (flags.next()) {
+    if (!(flags.take_number("--seed", &cfg.seed) ||
+          flags.take_number("--cores", &cfg.cores, 1, lz::bench::kMaxCores) ||
+          flags.take_number("--streams", &cfg.streams, 1) ||
+          flags.take_number("--insns", &cfg.insns_per_stream, 1) ||
+          flags.take_number("--max-steps", &cfg.max_steps, 1))) {
+      flags.die("unknown flag", flags.arg());
     }
   }
-  const unsigned streams = cfg.streams != 0 ? cfg.streams : cfg.cores;
+  cfg.streams = lz::check::stream_count(cfg.streams, cfg.cores);
 
   // An oracle abort (BBM violation, stale TLB entry) should leave a state
   // trail: dump the flight recorder's per-core black box on abort.
@@ -114,49 +50,35 @@ int main(int argc, char** argv) {
 
   std::printf("fuzz_a64: seed=%llu cores=%u streams=%u insns/stream=%d "
               "max-steps=%llu\n",
-              static_cast<unsigned long long>(cfg.seed), cfg.cores, streams,
-              cfg.insns_per_stream,
+              static_cast<unsigned long long>(cfg.seed), cfg.cores,
+              cfg.streams, cfg.insns_per_stream,
               static_cast<unsigned long long>(cfg.max_steps));
 
-  const FuzzA64Result a = lz::check::run_a64_fuzz(cfg);
-  std::printf("run A: %llu streams, %llu words, %llu killed "
-              "(%llu sanitizer), %llu exited, outcome hash %016llx\n",
-              static_cast<unsigned long long>(a.total_streams),
-              static_cast<unsigned long long>(a.total_words),
-              static_cast<unsigned long long>(a.killed),
-              static_cast<unsigned long long>(a.sanitizer_rejects),
-              static_cast<unsigned long long>(a.exited),
-              static_cast<unsigned long long>(a.outcome_hash));
+  const int failures = lz::check::replay_gate(
+      cfg.cores,
+      [&cfg](unsigned n) {
+        FuzzA64Config run = cfg;
+        run.cores = n;
+        return lz::check::run_a64_fuzz(run);
+      },
+      // The mismatching stream's words: with the seed, the byte-identical
+      // reproducer.
+      [&cfg](std::size_t s) {
+        const auto words =
+            lz::check::a64_stream_words(cfg, static_cast<unsigned>(s));
+        std::printf("    words:");
+        for (std::size_t i = 0; i < words.size(); ++i) {
+          std::printf("%s%08x", i % 8 == 0 ? "\n      " : " ", words[i]);
+        }
+        std::printf("\n");
+      });
 
-  // Replay determinism, same topology: byte-identical.
-  const FuzzA64Result b = lz::check::run_a64_fuzz(cfg);
-  expect(a.outcome_hash == b.outcome_hash, "replay A==B: outcome hash");
-  expect(a.outcome_streams == b.outcome_streams,
-         "replay A==B: outcome streams");
-  if (a.outcome_streams != b.outcome_streams) dump_mismatch(a, b, "A vs B");
-  const auto replay_diff = lz::check::diff_counters(a.counters, b.counters);
-  expect(replay_diff.empty(), "replay A==B: counters byte-identical");
-  for (const auto& line : replay_diff) std::printf("    %s\n", line.c_str());
-
-  // Topology independence: the same streams on a single core.
-  FuzzA64Config uni = cfg;
-  uni.cores = 1;
-  uni.streams = streams;
-  const FuzzA64Result c = lz::check::run_a64_fuzz(uni);
-  expect(a.outcome_streams == c.outcome_streams,
-         "1-core vs N-core: outcome streams");
-  if (a.outcome_streams != c.outcome_streams) dump_mismatch(a, c, "A vs C");
-  const auto smp_diff = lz::check::diff_counters(
-      a.counters, c.counters, lz::check::is_smp_variant_counter);
-  expect(smp_diff.empty(), "1-core vs N-core: counters modulo SMP-variant set");
-  for (const auto& line : smp_diff) std::printf("    %s\n", line.c_str());
-
-  if (g_failures != 0) {
-    std::printf("fuzz_a64: %d failure(s)\n", g_failures);
+  if (failures != 0) {
+    std::printf("fuzz_a64: %d failure(s)\n", failures);
     lz::obs::flight_dump(stderr);
     return 1;
   }
-  std::printf("fuzz_a64: OK (%llu streams x3 runs, zero divergence)\n",
-              static_cast<unsigned long long>(a.total_streams));
+  std::printf("fuzz_a64: OK (%u streams x3 runs, zero divergence)\n",
+              cfg.streams);
   return 0;
 }

@@ -1,104 +1,49 @@
-// Randomized Table-2 conformance fuzz driver (ISSUE 3).
+// Randomized Table-2 conformance fuzz driver.
 //
 //   fuzz_table2 [--seed S] [--cores N] [--streams M] [--ops K]
 //               [--backend ttbr_pan|poe|cca|watchpoint|lwc]
 //
 // Runs M seeded streams of Table-2 calls (K ops each, processes pinned
-// round-robin over N cores) three times and applies every lz::check oracle:
-//
-//   run A, run B (same config)      — must be byte-identical: same status
-//                                     streams, same hash, same counters.
-//   run C (same streams, 1 core)    — must produce the same status streams
-//                                     and the same counters modulo the
-//                                     documented SMP-variant set.
+// round-robin over N cores) through check::replay_gate: twice on N cores,
+// which must be byte-identical, and once on 1 core, which must produce the
+// same status streams and the same counters modulo the documented
+// SMP-variant set.
 //
 // Each op is also checked against the ShadowTable2 reference model as it
 // executes, and (in LZ_CHECK builds) every TLB hit is re-walked by the
-// sim::Core oracle. Any divergence → nonzero exit.
+// sim::Core oracle. Any divergence → nonzero exit. A malformed or zero
+// value, or --cores outside 1-64, exits 2 before any run.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "bench_util.h"
 #include "check/fuzz.h"
 #include "obs/flight.h"
 
-namespace {
-
-using lz::check::FuzzConfig;
-using lz::check::FuzzResult;
-
-int g_failures = 0;
-
-void expect(bool ok, const std::string& what) {
-  if (ok) {
-    std::printf("  ok: %s\n", what.c_str());
-  } else {
-    std::printf("  FAIL: %s\n", what.c_str());
-    ++g_failures;
-  }
-}
-
-void dump_divergences(const char* run, const FuzzResult& r) {
-  for (const auto& d : r.divergences) {
-    std::printf("  FAIL: run %s divergence [%s] %s\n", run, d.kind.c_str(),
-                d.detail.c_str());
-    ++g_failures;
-  }
-}
-
-unsigned long long parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 0);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using lz::check::FuzzConfig;
   FuzzConfig cfg;
   cfg.seed = 1;
   cfg.cores = 4;
-  cfg.streams = 0;  // = cores
   cfg.ops_per_stream = 2600;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) != 0 || i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (const char* v = next("--seed")) {
-      cfg.seed = parse_u64(v);
-    } else if (const char* v = next("--cores")) {
-      cfg.cores = static_cast<unsigned>(parse_u64(v));
-    } else if (const char* v = next("--streams")) {
-      cfg.streams = static_cast<unsigned>(parse_u64(v));
-    } else if (const char* v = next("--ops")) {
-      cfg.ops_per_stream = static_cast<int>(parse_u64(v));
-    } else if (const char* v = next("--backend")) {
-      const auto kind = lz::core::backend_from_string(v);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "%s: unknown backend '%s' (expected one of ttbr_pan, "
-                     "poe, cca, watchpoint, lwc)\n",
-                     argv[0], v);
-        return 2;
-      }
-      cfg.backend = *kind;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      std::printf(
-          "usage: %s [--seed S] [--cores N] [--streams M] [--ops K] "
-          "[--backend B]\n",
-          argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
-      std::fprintf(stderr,
-                   "usage: %s [--seed S] [--cores N] [--streams M] [--ops K] "
-                   "[--backend B]\n",
-                   argv[0]);
-      return 2;
+  std::string backend;
+  lz::bench::FlagParser flags(argc, argv, [argv](std::FILE* out) {
+    std::fprintf(out,
+                 "usage: %s [--seed S] [--cores N] [--streams M] [--ops K] "
+                 "[--backend B]\n",
+                 argv[0]);
+  });
+  while (flags.next()) {
+    if (!(flags.take_number("--seed", &cfg.seed) ||
+          flags.take_number("--cores", &cfg.cores, 1, lz::bench::kMaxCores) ||
+          flags.take_number("--streams", &cfg.streams, 1) ||
+          flags.take_number("--ops", &cfg.ops_per_stream, 1) ||
+          flags.take("--backend", &backend))) {
+      flags.die("unknown flag", flags.arg());
     }
   }
-  const unsigned streams = cfg.streams != 0 ? cfg.streams : cfg.cores;
+  if (!backend.empty()) cfg.backend = flags.backend(backend);
+  cfg.streams = lz::check::stream_count(cfg.streams, cfg.cores);
 
   // A crashed fuzz run (LZ_CHECK, oracle abort) should leave a state trail:
   // dump the flight recorder's per-core black box on abort.
@@ -107,47 +52,24 @@ int main(int argc, char** argv) {
   std::printf(
       "fuzz_table2: backend=%s seed=%llu cores=%u streams=%u ops/stream=%d\n",
       lz::core::to_string(cfg.backend),
-      static_cast<unsigned long long>(cfg.seed), cfg.cores, streams,
+      static_cast<unsigned long long>(cfg.seed), cfg.cores, cfg.streams,
       cfg.ops_per_stream);
 
-  const FuzzResult a = lz::check::run_table2_fuzz(cfg);
-  std::printf("run A: %llu ops (%llu skipped), status hash %016llx\n",
-              static_cast<unsigned long long>(a.total_ops),
-              static_cast<unsigned long long>(a.skipped),
-              static_cast<unsigned long long>(a.status_hash));
-  dump_divergences("A", a);
+  const int failures = lz::check::replay_gate(cfg.cores, [&cfg](unsigned n) {
+    FuzzConfig run = cfg;
+    run.cores = n;
+    return lz::check::run_table2_fuzz(run);
+  });
 
-  // Replay determinism, same topology: byte-identical.
-  const FuzzResult b = lz::check::run_table2_fuzz(cfg);
-  dump_divergences("B", b);
-  expect(a.status_hash == b.status_hash, "replay A==B: status hash");
-  expect(a.status_streams == b.status_streams, "replay A==B: status streams");
-  const auto replay_diff = lz::check::diff_fuzz_counters(a, b);
-  expect(replay_diff.empty(), "replay A==B: counters byte-identical");
-  for (const auto& line : replay_diff) std::printf("    %s\n", line.c_str());
-
-  // Topology independence: the same streams on a single core.
-  FuzzConfig uni = cfg;
-  uni.cores = 1;
-  uni.streams = streams;
-  const FuzzResult c = lz::check::run_table2_fuzz(uni);
-  dump_divergences("C", c);
-  expect(a.status_streams == c.status_streams,
-         "1-core vs N-core: status streams");
-  const auto smp_diff =
-      lz::check::diff_fuzz_counters(a, c, lz::check::is_smp_variant_counter);
-  expect(smp_diff.empty(),
-         "1-core vs N-core: counters modulo SMP-variant set");
-  for (const auto& line : smp_diff) std::printf("    %s\n", line.c_str());
-
-  if (g_failures != 0) {
-    std::printf("fuzz_table2: %d failure(s)\n", g_failures);
+  if (failures != 0) {
+    std::printf("fuzz_table2: %d failure(s)\n", failures);
     // Divergence without a fail-stop abort (captured handler): still dump
     // the black box so the failing op sequence's tail is on record.
     lz::obs::flight_dump(stderr);
     return 1;
   }
   std::printf("fuzz_table2: OK (%llu ops x3 runs, zero divergence)\n",
-              static_cast<unsigned long long>(a.total_ops));
+              static_cast<unsigned long long>(cfg.streams) *
+                  static_cast<unsigned long long>(cfg.ops_per_stream));
   return 0;
 }

@@ -54,7 +54,7 @@ void fuzz_stream(const FuzzConfig& cfg, Stream& st, unsigned s) {
 
   // Stream-indexed seed: the op sequence must not depend on which core (or
   // how many cores) the stream lands on.
-  Rng rng(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (s + 1)));
+  Rng rng(stream_seed(cfg.seed, s));
 
   auto record = [&st, s](const char* op, Errc want, const Status& got) {
     st.statuses.push_back(static_cast<u8>(got.errc()));
@@ -156,10 +156,10 @@ void fuzz_stream(const FuzzConfig& cfg, Stream& st, unsigned s) {
 
 }  // namespace
 
-FuzzResult run_table2_fuzz(const FuzzConfig& cfg) {
+FuzzOutcome run_table2_fuzz(const FuzzConfig& cfg) {
   const arch::Platform& plat =
       cfg.platform != nullptr ? *cfg.platform : arch::Platform::cortex_a55();
-  const unsigned streams = cfg.streams != 0 ? cfg.streams : cfg.cores;
+  const unsigned streams = stream_count(cfg.streams, cfg.cores);
 
   Env env(Env::Options().platform(plat).cores(cfg.cores).seed(cfg.seed));
   auto& machine = *env.machine;
@@ -193,36 +193,21 @@ FuzzResult run_table2_fuzz(const FuzzConfig& cfg) {
   }
   env.kern().schedule();
 
-  FuzzResult out;
+  FuzzOutcome out;
   out.backend = cfg.backend;
+  out.stream_kind = "status";
   out.counters = env.counters_delta();
-  u64 h = 1469598103934665603ULL;  // FNV-1a offset basis
-  constexpr u64 kPrime = 1099511628211ULL;
+  u64 ops = 0, skipped = 0;
   for (auto& st : ss) {
-    for (const u8 b : st.statuses) {
-      h = (h ^ b) * kPrime;
-    }
-    h = (h ^ 0xFFu) * kPrime;  // stream separator
-    out.total_ops += st.statuses.size();
-    out.skipped += st.skipped;
-    out.status_streams.push_back(std::move(st.statuses));
+    ops += st.statuses.size();
+    skipped += st.skipped;
+    out.streams.push_back(std::move(st.statuses));
     for (auto& d : st.divergences) out.divergences.push_back(std::move(d));
   }
-  out.status_hash = h;
+  out.hash = hash_streams(out.streams);
+  out.tally = std::to_string(ops) + " ops (" + std::to_string(skipped) +
+              " skipped)";
   return out;
-}
-
-std::vector<std::string> diff_fuzz_counters(const FuzzResult& a,
-                                            const FuzzResult& b,
-                                            const IgnoreFn& ignore) {
-  if (a.backend != b.backend) {
-    return {std::string("backend mismatch: cannot compare counters from "
-                        "--backend ") +
-            core::to_string(a.backend) + " against --backend " +
-            core::to_string(b.backend) +
-            "; rerun both sides with the same backend"};
-  }
-  return diff_counters(a.counters, b.counters, ignore);
 }
 
 }  // namespace lz::check

@@ -1,19 +1,14 @@
-// Randomized Table-2 fuzz driver (ISSUE 3 tentpole, leg 3).
+// Randomized Table-2 fuzz driver.
 //
 // Generates seeded streams of Table-2 calls (lz_alloc / lz_free / lz_prot /
 // lz_map_gate_pgt / lz_set_gate_entry / touch / gate switch), runs every
 // call against the live module AND the independent ShadowTable2 model, and
 // records each call's Status into a per-stream byte stream.
 //
-// Determinism contract — the two replay oracles hang off it:
-//   * A stream's op sequence depends only on (seed, stream index), never on
-//     the machine topology: stream s always fuzzes its own process with its
-//     own Rng, scheduled on core s % cores. Running the same (seed, streams,
-//     ops) on 1 core vs N cores must therefore produce byte-identical
-//     status streams, and identical counters modulo
-//     check::is_smp_variant_counter.
-//   * Running the same config twice must reproduce everything byte-for-byte
-//     (hash, streams, and the full counter snapshot).
+// Determinism contract, which check::replay_gate (replay.h) enforces: a
+// stream's op sequence depends only on (seed, stream index), never on the
+// machine topology. Stream s always fuzzes its own process with its own Rng
+// (check::stream_seed), scheduled on core s % cores.
 //
 // Gate switches whose validation would pass but whose mapped table has been
 // freed are recorded as kSkippedOp instead of executed: architecturally the
@@ -21,12 +16,8 @@
 // ShadowTable2::gate_runnable), which would end the stream early.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "check/check.h"
+#include "check/replay.h"
 #include "lightzone/backend.h"
-#include "obs/counters.h"
 #include "support/types.h"
 
 namespace lz::arch {
@@ -51,25 +42,8 @@ struct FuzzConfig {
   core::BackendKind backend = core::BackendKind::kTtbrPan;
 };
 
-struct FuzzResult {
-  core::BackendKind backend = core::BackendKind::kTtbrPan;
-  u64 total_ops = 0;  // generated ops, including skipped ones
-  u64 skipped = 0;    // unrunnable-but-valid gate switches not executed
-  u64 status_hash = 0;  // FNV-1a over all status streams, in stream order
-  std::vector<std::vector<u8>> status_streams;  // [stream][op] = Errc byte
-  std::vector<Divergence> divergences;          // kind "shadow.status"
-  obs::Snapshot counters;  // Env-scoped counter delta of the whole run
-};
-
-FuzzResult run_table2_fuzz(const FuzzConfig& cfg);
-
-// Counter diff between two fuzz runs. Counter streams are only comparable
-// between runs of the SAME backend (mechanisms bump different counters in
-// different amounts by design), so a cross-backend comparison returns a
-// single clear "backend mismatch" line instead of pages of spurious
-// counter divergence. Same-backend runs forward to check::diff_counters.
-std::vector<std::string> diff_fuzz_counters(const FuzzResult& a,
-                                            const FuzzResult& b,
-                                            const IgnoreFn& ignore = nullptr);
+// Runs the campaign. streams[s][op] is the Errc byte of stream s's op
+// (kSkippedOp if not executed); stream_kind is "status".
+FuzzOutcome run_table2_fuzz(const FuzzConfig& cfg);
 
 }  // namespace lz::check

@@ -289,31 +289,42 @@ std::vector<u32> generate_stream(Rng& rng, Mode mode, int insns) {
 struct Stream {
   Mode mode = Mode::kClean;
   int san = 1;
+  bool eager_stage2 = true;
   std::vector<u32> words;
   kernel::Process* proc = nullptr;
   std::optional<LzProc> lz;
   sim::RunResult rr;
 };
 
-u8 fold_byte(const std::string& s) {
-  u64 h = 1469598103934665603ULL;
-  for (const char c : s) h = (h ^ static_cast<u8>(c)) * 1099511628211ULL;
-  return static_cast<u8>(h ^ (h >> 8) ^ (h >> 16) ^ (h >> 24));
+// Draws stream s's mode, sanitizer level, stage-2 option and words from
+// the stream's own Rng, so they depend only on (seed, s).
+void plan_stream(const FuzzA64Config& cfg, unsigned s, Stream& st) {
+  Rng rng(stream_seed(cfg.seed, s));
+  const u64 m = rng.below(10);
+  st.mode = m < 4 ? Mode::kClean : m < 7 ? Mode::kDirty : Mode::kWild;
+  st.san = st.mode == Mode::kWild ? 0 : (rng.chance(0.25) ? 2 : 1);
+  st.eager_stage2 = !rng.chance(0.2);  // exercise the deferred-S2 path
+  st.words = generate_stream(rng, st.mode, cfg.insns_per_stream);
 }
 
 }  // namespace
 
-FuzzA64Result run_a64_fuzz(const FuzzA64Config& cfg) {
+std::vector<u32> a64_stream_words(const FuzzA64Config& cfg, unsigned s) {
+  Stream st;
+  plan_stream(cfg, s, st);
+  return st.words;
+}
+
+FuzzOutcome run_a64_fuzz(const FuzzA64Config& cfg) {
   const arch::Platform& plat =
       cfg.platform != nullptr ? *cfg.platform : arch::Platform::cortex_a55();
-  const unsigned streams = cfg.streams != 0 ? cfg.streams : cfg.cores;
+  const unsigned streams = stream_count(cfg.streams, cfg.cores);
 
   Env env(Env::Options().platform(plat).cores(cfg.cores).seed(cfg.seed));
   auto& machine = *env.machine;
 
-  FuzzA64Result out;
-  u64 h = 1469598103934665603ULL;  // FNV-1a offset basis
-  constexpr u64 kPrime = 1099511628211ULL;
+  FuzzOutcome out;
+  u64 words = 0, killed = 0, sanitizer_rejects = 0, exited = 0;
 
   // Waves bound the live-process footprint: each wave's processes are set
   // up sequentially (deterministic frame layout), run concurrently, then
@@ -330,16 +341,10 @@ FuzzA64Result run_a64_fuzz(const FuzzA64Config& cfg) {
       const unsigned s = base + i;
       sim::Machine::CoreBinding bind(machine, s % cfg.cores);
       Stream& st = ss[i];
-      // Stream-indexed seed: words and options depend only on (seed, s).
-      Rng rng(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (s + 1)));
-
-      const u64 m = rng.below(10);
-      st.mode = m < 4 ? Mode::kClean : m < 7 ? Mode::kDirty : Mode::kWild;
-      st.san = st.mode == Mode::kWild ? 0 : (rng.chance(0.25) ? 2 : 1);
+      plan_stream(cfg, s, st);
       core::LzOptions ov;
       ov.max_gates = 8;
-      ov.eager_stage2 = !rng.chance(0.2);  // exercise the deferred-S2 path
-      st.words = generate_stream(rng, st.mode, cfg.insns_per_stream);
+      ov.eager_stage2 = st.eager_stage2;
 
       st.proc = &env.new_process();
       LZ_CHECK_OK(env.kern().populate_page(
@@ -386,23 +391,21 @@ FuzzA64Result run_a64_fuzz(const FuzzA64Config& cfg) {
       ob.push_back(static_cast<u8>((st.rr.steps >> 8) & 0xff));
       ob.push_back(st.proc->alive() ? 1 : 0);
       if (!st.proc->alive() && !st.proc->kill_reason().empty()) {
-        ob.push_back(fold_byte(st.proc->kill_reason()));
-        ++out.killed;
+        const u64 h = fnv1a(st.proc->kill_reason());
+        ob.push_back(static_cast<u8>(h ^ (h >> 8) ^ (h >> 16) ^ (h >> 24)));
+        ++killed;
         // kill() prefixes reasons with "LightZone: "; match the verdict
         // message itself.
         if (st.proc->kill_reason().find("sensitive instruction in page") !=
             std::string::npos) {
-          ++out.sanitizer_rejects;
+          ++sanitizer_rejects;
         }
       } else {
         ob.push_back(static_cast<u8>(st.proc->exit_code() & 0xff));
-        if (!st.proc->alive()) ++out.exited;
+        if (!st.proc->alive()) ++exited;
       }
-      for (const u8 b : ob) h = (h ^ b) * kPrime;
-      h = (h ^ 0xFFu) * kPrime;  // stream separator
-      out.total_words += st.words.size();
-      out.outcome_streams.push_back(std::move(ob));
-      out.words.push_back(std::move(st.words));
+      words += st.words.size();
+      out.streams.push_back(std::move(ob));
 
       // Teardown in stream order: the LzProc (and with it the context's
       // stage-1/stage-2 tables) dies with the process, firing the
@@ -412,8 +415,11 @@ FuzzA64Result run_a64_fuzz(const FuzzA64Config& cfg) {
     }
   }
 
-  out.total_streams = streams;
-  out.outcome_hash = h;
+  out.hash = hash_streams(out.streams);
+  out.tally = std::to_string(streams) + " streams, " + std::to_string(words) +
+              " words, " + std::to_string(killed) + " killed (" +
+              std::to_string(sanitizer_rejects) + " sanitizer), " +
+              std::to_string(exited) + " exited";
   out.counters = env.counters_delta();
   return out;
 }

@@ -1,4 +1,4 @@
-// Encoded-A64 stream fuzzer (ISSUE 8 tentpole; LightEMU-style driving).
+// Encoded-A64 stream fuzzer (LightEMU-style driving).
 //
 // Generates seeded streams of *encoded* A64 instruction words, writes each
 // stream into a fresh process's code page, enters the process into
@@ -19,20 +19,17 @@
 //   * syscalls that force break-before-make table transitions — munmap,
 //     mprotect (tightening), and the Table-2 verbs via SVC.
 //
-// Determinism contract (same discipline as fuzz.h): a stream's instruction
-// words and its architectural outcome bytes depend only on (seed, stream
-// index), never on the machine topology or on physical frame placement —
-// so the same config replays byte-identically, the same streams on 1 core
-// match the N-core run, and a failing stream is reproduced exactly by
-// re-running its seed. Divergences reported by the armed oracles are
-// fail-stop (flight-recorder dump + abort) unless a capturing handler is
-// installed.
+// Determinism contract (check::replay_gate, replay.h): a stream's
+// instruction words and its architectural outcome bytes depend only on
+// (seed, stream index), never on the machine topology or on physical frame
+// placement, so a failing stream is reproduced exactly by re-running its
+// seed. Divergences reported by the armed oracles are fail-stop
+// (flight-recorder dump + abort) unless a capturing handler is installed.
 #pragma once
 
 #include <vector>
 
-#include "check/check.h"
-#include "obs/counters.h"
+#include "check/replay.h"
 #include "support/types.h"
 
 namespace lz::arch {
@@ -50,24 +47,14 @@ struct FuzzA64Config {
   const arch::Platform* platform = nullptr;  // null = Cortex-A55
 };
 
-struct FuzzA64Result {
-  u64 total_streams = 0;
-  u64 total_words = 0;         // encoded instruction words generated
-  u64 killed = 0;              // streams ending in a module/kernel kill
-  u64 sanitizer_rejects = 0;   // kills by the static sanitizer verdict
-  u64 exited = 0;              // streams reaching the exit syscall
-  // FNV-1a over all outcome streams, in stream order (0xFF separators).
-  u64 outcome_hash = 0;
-  // Per-stream architectural outcome bytes: mode, san level, stop reason,
-  // step count (lo, hi), alive flag, and a final byte folding the kill
-  // reason (killed) or the exit code (exited/running). Everything here is
-  // PA-independent by construction.
-  std::vector<std::vector<u8>> outcome_streams;
-  // The encoded words of every stream, for replay dumps on mismatch.
-  std::vector<std::vector<u32>> words;
-  obs::Snapshot counters;  // Env-scoped counter delta of the whole run
-};
+// Runs the campaign. streams[s] holds stream s's architectural outcome
+// bytes: mode, san level, stop reason, step count (lo, hi), alive flag, and
+// a final byte folding the kill reason (killed) or the exit code
+// (exited/running). Everything there is PA-independent by construction.
+FuzzOutcome run_a64_fuzz(const FuzzA64Config& cfg);
 
-FuzzA64Result run_a64_fuzz(const FuzzA64Config& cfg);
+// The encoded words of stream s: with cfg's seed, the byte-identical
+// reproducer of that stream.
+std::vector<u32> a64_stream_words(const FuzzA64Config& cfg, unsigned s);
 
 }  // namespace lz::check

@@ -1,12 +1,19 @@
 // Tests for the lz::check conformance harness: counter diffing, the
-// Table-2 shadow model, the seeded fuzz driver's replay guarantees, and —
-// in LZ_CHECK builds — the TLB-vs-walk oracle catching an injected stale
-// translation.
+// Table-2 shadow model, the replay gate and the seeded fuzz drivers'
+// replay guarantees, and — in LZ_CHECK builds — the TLB-vs-walk oracle
+// catching an injected stale translation.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "check/bbm.h"
 #include "check/check.h"
 #include "check/fuzz.h"
+#include "check/fuzz_a64.h"
+#include "check/replay.h"
 #include "check/shadow.h"
 #include "lightzone/api.h"
 #include "sim/machine.h"
@@ -112,30 +119,122 @@ TEST(ShadowTest, PanOnlyProcessCannotAlloc) {
   EXPECT_EQ(lz.lz_alloc().status().errc(), Errc::kFailedPrecondition);
 }
 
-// Replay determinism: the same seeded config reproduces byte-identically,
-// and the same streams on 1 vs 2 cores produce identical status streams
-// with counters equal modulo the documented SMP-variant set.
+// Replay determinism through the one replay gate: the same seeded config
+// reproduces byte-identically, and the same streams on 1 vs 2 cores
+// produce identical status streams with counters equal modulo the
+// documented SMP-variant set.
 TEST(FuzzTest, SeededRunReproducesByteIdentically) {
   FuzzConfig cfg;
   cfg.seed = 7;
-  cfg.cores = 2;
+  cfg.streams = 2;
   cfg.ops_per_stream = 300;
-  const auto a = run_table2_fuzz(cfg);
-  const auto b = run_table2_fuzz(cfg);
-  EXPECT_TRUE(a.divergences.empty());
-  EXPECT_TRUE(b.divergences.empty());
-  EXPECT_EQ(a.status_hash, b.status_hash);
-  EXPECT_EQ(a.status_streams, b.status_streams);
-  EXPECT_TRUE(diff_counters(a.counters, b.counters).empty());
+  const int failures = replay_gate(2, [&cfg](unsigned cores) {
+    FuzzConfig run = cfg;
+    run.cores = cores;
+    return run_table2_fuzz(run);
+  });
+  EXPECT_EQ(failures, 0);
+}
 
-  FuzzConfig uni = cfg;
-  uni.cores = 1;
-  uni.streams = 2;
-  const auto c = run_table2_fuzz(uni);
-  EXPECT_TRUE(c.divergences.empty());
-  EXPECT_EQ(a.status_streams, c.status_streams);
-  EXPECT_TRUE(
-      diff_counters(a.counters, c.counters, is_smp_variant_counter).empty());
+// The reproducer regenerates the words the campaign ran: their total is
+// the run's tally.
+TEST(FuzzTest, A64ReproducerWordsMatchTheCampaign) {
+  FuzzA64Config cfg;
+  cfg.seed = 3;
+  cfg.streams = 6;
+  const FuzzOutcome out = run_a64_fuzz(cfg);
+  std::size_t words = 0;
+  for (unsigned s = 0; s < cfg.streams; ++s) {
+    words += a64_stream_words(cfg, s).size();
+  }
+  EXPECT_NE(out.tally.find(", " + std::to_string(words) + " words,"),
+            std::string::npos)
+      << out.tally;
+}
+
+void bump(obs::Snapshot& counters, std::string_view name) {
+  for (auto& [n, v] : counters) {
+    if (n == name) ++v;
+  }
+}
+
+// The gate itself, fed a fake campaign: `mutate(run, out)` edits run A
+// (0), B (1) or C (2) of an otherwise perfectly replaying campaign.
+int gate_failures(const std::function<void(int, FuzzOutcome&)>& mutate) {
+  int run = 0;
+  std::vector<unsigned> cores_seen;
+  const int failures = replay_gate(4, [&](unsigned cores) {
+    cores_seen.push_back(cores);
+    FuzzOutcome out;
+    out.streams = {{1, 2, 3}, {4, 5}};
+    out.hash = hash_streams(out.streams);
+    out.counters = {{"sim.core.insn_retired", 100},
+                    {"sim.core1.tlb.miss", 7}};
+    mutate(run++, out);
+    return out;
+  });
+  EXPECT_EQ(cores_seen, (std::vector<unsigned>{4, 4, 1}));
+  return failures;
+}
+
+TEST(ReplayGateTest, IdenticalRunsPass) {
+  EXPECT_EQ(gate_failures([](int, FuzzOutcome&) {}), 0);
+}
+
+TEST(ReplayGateTest, ReportsEveryReplayMismatch) {
+  // A != B: hash, streams (with the hash recomputed), counters.
+  EXPECT_GT(gate_failures([](int run, FuzzOutcome& o) {
+              if (run == 1) o.hash ^= 1;
+            }),
+            0);
+  EXPECT_GT(gate_failures([](int run, FuzzOutcome& o) {
+              if (run == 1) {
+                o.streams[1][0] ^= 1;
+                o.hash = hash_streams(o.streams);
+              }
+            }),
+            0);
+  EXPECT_GT(gate_failures([](int run, FuzzOutcome& o) {
+              if (run == 1) bump(o.counters, "sim.core.insn_retired");
+            }),
+            0);
+  // A != C: streams, and a counter outside the SMP-variant set.
+  EXPECT_GT(gate_failures([](int run, FuzzOutcome& o) {
+              if (run == 2) o.streams[0].push_back(9);
+            }),
+            0);
+  EXPECT_GT(gate_failures([](int run, FuzzOutcome& o) {
+              if (run == 2) bump(o.counters, "sim.core.insn_retired");
+            }),
+            0);
+  // A shadow divergence recorded during any run.
+  EXPECT_GT(gate_failures([](int run, FuzzOutcome& o) {
+              if (run == 0) o.divergences.push_back({"shadow.status", "x"});
+            }),
+            0);
+}
+
+TEST(ReplayGateTest, SmpVariantCounterMayDifferOnOneCore) {
+  EXPECT_EQ(gate_failures([](int run, FuzzOutcome& o) {
+              if (run == 2) bump(o.counters, "sim.core1.tlb.miss");
+            }),
+            0);
+}
+
+TEST(ReplayGateTest, MismatchingStreamIsHandedToTheReproducerDump) {
+  std::vector<std::size_t> dumped;
+  int run = 0;
+  replay_gate(
+      2,
+      [&run](unsigned) {
+        FuzzOutcome out;
+        out.streams = {{1}, {2}, {3}};
+        if (run++ == 2) out.streams[2] = {4};
+        out.hash = hash_streams(out.streams);
+        return out;
+      },
+      [&dumped](std::size_t s) { dumped.push_back(s); });
+  EXPECT_EQ(dumped, (std::vector<std::size_t>{2}));
 }
 
 #ifdef LZ_CONF_CHECK
