@@ -1,9 +1,9 @@
 // Shared plumbing for the bench binaries' command lines and reports.
 //
-// Every bench main, fuzz_table2 and fuzz_a64 included, parses its flags
-// through one strict parser (FlagParser below; no per-binary hand-rolled
-// loops). ObsSession itself reads the observability flags, so all seven
-// report-writing binaries accept them:
+// Every bench main, fuzz_table2, fuzz_a64 and lz_report included, parses
+// its flags through one strict parser (FlagParser, flag_parser.h; no
+// per-binary hand-rolled loops). ObsSession itself reads the observability
+// flags, so all seven report-writing binaries accept them:
 //
 //   --json <path>           write a machine-readable lz.bench.report.v2
 //                           document (headline results, per-CostKind cycle
@@ -65,16 +65,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <limits>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "flag_parser.h"
 #include "lightzone/backend.h"
 #include "obs/counters.h"
 #include "obs/expose.h"
@@ -160,77 +156,13 @@ inline void print_bench_usage(const char* argv0, unsigned accepted,
                "(A/B: tier speedup)\n");
 }
 
-// The strict command-line walker every bench and fuzz main parses through.
-// take() matches `--flag V` and `--flag=V`; take_number() also requires V
-// to be a whole decimal in [lo, hi] (no sign, trailing characters or
-// overflow). die() names the offender, prints the usage text to stderr and
-// exits 2; --help / -h print it to stdout and exit 0.
-class FlagParser {
- public:
-  FlagParser(int argc, char** argv, std::function<void(std::FILE*)> usage)
-      : argc_(argc), argv_(argv), usage_(std::move(usage)) {}
-
-  // Steps to the next argument; false once argv is used up.
-  bool next() {
-    if (++i_ >= argc_) return false;
-    arg_ = argv_[i_];
-    if (arg_ == "--help" || arg_ == "-h") {
-      usage_(stdout);
-      std::exit(0);
-    }
-    return true;
-  }
-  const std::string& arg() const { return arg_; }
-
-  bool take(std::string_view flag, std::string* dst) {
-    if (arg_ == flag) {
-      if (i_ + 1 >= argc_) die("missing value for", arg_);
-      *dst = argv_[++i_];
-      return true;
-    }
-    if (arg_.size() <= flag.size() + 1 || !arg_.starts_with(flag) ||
-        arg_[flag.size()] != '=') {
-      return false;
-    }
-    *dst = arg_.substr(flag.size() + 1);
-    return true;
-  }
-
-  template <class T>
-  bool take_number(std::string_view flag, T* dst, u64 lo = 0,
-                   u64 hi = std::numeric_limits<T>::max()) {
-    std::string value;
-    if (!take(flag, &value)) return false;
-    u64 n = 0;
-    const char* end = value.data() + value.size();
-    const auto [ptr, ec] = std::from_chars(value.data(), end, n);
-    if (ec != std::errc() || ptr != end || n < lo || n > hi) {
-      die("bad value for " + std::string(flag) + ":", value);
-    }
-    *dst = static_cast<T>(n);
-    return true;
-  }
-
-  core::BackendKind backend(const std::string& value) const {
-    const auto kind = core::backend_from_string(value);
-    if (!kind) die("unknown backend", value);
-    return *kind;
-  }
-
-  [[noreturn]] void die(const std::string& what,
-                        const std::string& arg) const {
-    std::fprintf(stderr, "%s: %s '%s'\n", argv_[0], what.c_str(), arg.c_str());
-    usage_(stderr);
-    std::exit(2);
-  }
-
- private:
-  int argc_;
-  char** argv_;
-  std::function<void(std::FILE*)> usage_;
-  int i_ = 0;
-  std::string arg_;
-};
+// The --backend value as a BackendKind; an unknown name dies through `p`.
+inline core::BackendKind parse_backend(const FlagParser& p,
+                                       const std::string& value) {
+  const auto kind = core::backend_from_string(value);
+  if (!kind) p.die("unknown backend", value);
+  return *kind;
+}
 
 // Largest --cores any bench or fuzz main accepts.
 inline constexpr u64 kMaxCores = 64;
@@ -262,7 +194,7 @@ inline ObsOptions parse_bench_flags(int argc, char** argv, unsigned accepted) {
       p.die("unknown flag", p.arg());
     }
   }
-  if (!backend_str.empty()) opts.backend = p.backend(backend_str);
+  if (!backend_str.empty()) opts.backend = parse_backend(p, backend_str);
   if (opts.cores > 0 && opts.backend != core::BackendKind::kTtbrPan) {
     p.die("--cores needs the ttbr_pan backend, got --backend", backend_str);
   }

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "obs/counters.h"
 #include "workloads/httpd.h"
 
 namespace {
@@ -63,14 +62,9 @@ void print_fig3() {
       bench::record(slug_of(combo.label) + "." + to_string(kMechs[m]) +
                         ".rps_at_64",
                     sat);
-      // Per-tenant rps sample for --metrics-out: the single-worker sweep
-      // contributes one saturation-rps sample per combo/mechanism to the
-      // "httpd-worker" tenant's distribution.
-      if (obs::registry().labels_enabled()) {
-        obs::LabelSet labels;
-        labels.set(obs::LabelKey::kTenant, "httpd-worker");
-        obs::registry().histogram("httpd.rps", labels).record(static_cast<u64>(sat));
-      }
+      // The single-worker sweep contributes one saturation-rps sample per
+      // combo/mechanism to the "httpd-worker" tenant's distribution.
+      record_tenant_rps("httpd-worker", sat);
       if (m == 0) {
         base_rps = sat;
         std::printf(" %10s\n", "(base)");

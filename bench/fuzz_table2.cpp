@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       flags.die("unknown flag", flags.arg());
     }
   }
-  if (!backend.empty()) cfg.backend = flags.backend(backend);
+  if (!backend.empty()) cfg.backend = lz::bench::parse_backend(flags, backend);
   cfg.streams = lz::check::stream_count(cfg.streams, cfg.cores);
 
   // A crashed fuzz run (LZ_CHECK, oracle abort) should leave a state trail:

@@ -7,7 +7,8 @@
 // With one file and no gates it only validates that file and prints
 // `<file>: ok (<schema>, bench=<name>)`.
 //
-// Gates (all optional; with none given the tool only prints the diff):
+// Gates (all optional; with none given the tool only prints the diff; a
+// gate value may also be given as --result-min=KEY:PCT):
 //   --result-min KEY:PCT     the best candidate's results[KEY] must be at
 //                            least (1 - PCT/100) x the baseline value
 //                            (wall-clock headline numbers like MIPS are
@@ -31,8 +32,9 @@
 // Every file is parsed with the same obs::Json parser the benches
 // serialise with and schema-checked with obs::Report::validate before any
 // comparison, so a malformed artifact fails loudly instead of producing a
-// vacuous pass. Exit codes: 0 all gates pass, 1 a gate failed, 2 usage /
-// I/O / parse error. This replaces the ad-hoc grep/awk comparisons ci.sh
+// vacuous pass. The flags go through the bench binaries' strict parser
+// (flag_parser.h). Exit codes: 0 all gates pass, 1 a gate failed, 2 usage
+// / I/O / parse error. This replaces the ad-hoc grep/awk comparisons ci.sh
 // used to carry.
 #include <charconv>
 #include <cmath>
@@ -44,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_parser.h"
 #include "obs/report.h"
 
 namespace {
@@ -57,8 +60,7 @@ struct Gate {
                      // --result-floor: the absolute floor
 };
 
-[[noreturn]] void usage(const char* argv0, int code) {
-  std::FILE* out = code == 0 ? stdout : stderr;
+void print_usage(const char* argv0, std::FILE* out) {
   std::fprintf(out,
                "usage: %s <report.json>\n"
                "       %s <base.json> <candidate.json>... [gates]\n"
@@ -73,7 +75,6 @@ struct Gate {
                "                           stripping the \"host\" section\n"
                "  --help, -h               this text\n",
                argv0, argv0);
-  std::exit(code);
 }
 
 std::optional<Json> load_report(const char* path) {
@@ -98,12 +99,11 @@ std::optional<Json> load_report(const char* path) {
 
 // Parses KEY:NUM. The whole of NUM must be a finite decimal in [0, max]:
 // a "nan" or "inf" would make the gate's comparison pass vacuously.
-Gate parse_gate(const char* argv0, const std::string& spec, double max) {
+Gate parse_gate(const lz::bench::FlagParser& p, const std::string& spec,
+                double max) {
   const auto colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    std::fprintf(stderr, "%s: bad gate spec '%s' (want KEY:NUM)\n", argv0,
-                 spec.c_str());
-    std::exit(2);
+    p.die("bad gate spec (want KEY:NUM)", spec);
   }
   Gate g;
   g.key = spec.substr(0, colon);
@@ -111,8 +111,7 @@ Gate parse_gate(const char* argv0, const std::string& spec, double max) {
   const auto [ptr, ec] = std::from_chars(spec.data() + colon + 1, end, g.value);
   if (ec != std::errc() || ptr != end || !std::isfinite(g.value) ||
       g.value < 0 || g.value > max) {
-    std::fprintf(stderr, "%s: bad gate value in '%s'\n", argv0, spec.c_str());
-    std::exit(2);
+    p.die("bad gate value in", spec);
   }
   return g;
 }
@@ -209,56 +208,50 @@ void print_diff(const Json& base, const Json& cand) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<const char*> files;
+  std::vector<std::string> files;
   std::vector<Gate> result_min, result_floor;
   bool require_cycles_equal = false;
   bool require_sim_identical = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto gate_value = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(argv[0], 0);
-    } else if (arg == "--result-min") {
-      result_min.push_back(
-          parse_gate(argv[0], gate_value("--result-min"), 100.0));
-    } else if (arg == "--result-floor") {
-      result_floor.push_back(
-          parse_gate(argv[0], gate_value("--result-floor"), HUGE_VAL));
-    } else if (arg == "--require-cycles-equal") {
+  lz::bench::FlagParser p(argc, argv, [argv](std::FILE* out) {
+    print_usage(argv[0], out);
+  });
+  std::string spec;
+  while (p.next()) {
+    if (p.take("--result-min", &spec)) {
+      result_min.push_back(parse_gate(p, spec, 100.0));
+    } else if (p.take("--result-floor", &spec)) {
+      result_floor.push_back(parse_gate(p, spec, HUGE_VAL));
+    } else if (p.arg() == "--require-cycles-equal") {
       require_cycles_equal = true;
-    } else if (arg == "--require-sim-identical") {
+    } else if (p.arg() == "--require-sim-identical") {
       require_sim_identical = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg.c_str());
-      usage(argv[0], 2);
+    } else if (p.arg().starts_with("--")) {
+      p.die("unknown flag", p.arg());
     } else {
-      files.push_back(argv[i]);
+      files.push_back(p.arg());
     }
   }
 
   const bool any_gate = !result_min.empty() || !result_floor.empty() ||
                         require_cycles_equal || require_sim_identical;
   if (files.size() == 1 && !any_gate) {
-    const auto doc = load_report(files[0]);
+    const auto doc = load_report(files[0].c_str());
     if (!doc.has_value()) return 2;
-    std::printf("%s: ok (%s, bench=%s)\n", files[0],
+    std::printf("%s: ok (%s, bench=%s)\n", files[0].c_str(),
                 doc->find("schema")->as_string().c_str(),
                 doc->find("bench")->as_string().c_str());
     return 0;
   }
-  if (files.size() < 2) usage(argv[0], 2);
+  if (files.size() < 2) {
+    print_usage(argv[0], stderr);
+    return 2;
+  }
 
-  const auto base = load_report(files[0]);
+  const auto base = load_report(files[0].c_str());
   if (!base.has_value()) return 2;
   std::vector<Json> candidates;
   for (std::size_t i = 1; i < files.size(); ++i) {
-    auto cand = load_report(files[i]);
+    auto cand = load_report(files[i].c_str());
     if (!cand.has_value()) return 2;
     candidates.push_back(std::move(*cand));
   }
@@ -270,7 +263,8 @@ int main(int argc, char** argv) {
   if (require_cycles_equal) {
     const auto want = cycles_total(*base);
     if (!want.has_value()) {
-      std::fprintf(stderr, "lz_report: %s: no cycles.total\n", files[0]);
+      std::fprintf(stderr, "lz_report: %s: no cycles.total\n",
+                   files[0].c_str());
       return 2;
     }
     for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -279,9 +273,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "lz_report: FAIL cycles.total: %s has %llu, baseline "
                      "%s has %llu\n",
-                     files[i + 1],
+                     files[i + 1].c_str(),
                      static_cast<unsigned long long>(got.value_or(0)),
-                     files[0], static_cast<unsigned long long>(*want));
+                     files[0].c_str(),
+                     static_cast<unsigned long long>(*want));
         ++failures;
       }
     }
@@ -300,7 +295,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "lz_report: FAIL sim sections differ: %s vs baseline %s "
                      "(after stripping \"host\")\n",
-                     files[i + 1], files[0]);
+                     files[i + 1].c_str(), files[0].c_str());
         ++sim_failures;
       }
     }
@@ -334,8 +329,8 @@ int main(int argc, char** argv) {
   for (const Gate& g : result_min) {
     const auto want = result_value(*base, g.key);
     if (!want.has_value()) {
-      std::fprintf(stderr, "lz_report: %s: no result '%s'\n", files[0],
-                   g.key.c_str());
+      std::fprintf(stderr, "lz_report: %s: no result '%s'\n",
+                   files[0].c_str(), g.key.c_str());
       return 2;
     }
     const double best = best_result(g.key);

@@ -128,6 +128,14 @@ expect_exit 2 build/bench/lz_report BENCH_throughput.json \
   BENCH_throughput.json --result-min straight_line.mips.median:inf
 expect_exit 2 build/bench/lz_report BENCH_throughput.json \
   BENCH_throughput.json --result-min straight_line.mips.median:150
+# lz_report parses through the benches' strict FlagParser: an unknown
+# flag or a gate flag without its value exits 2, and the --flag=V form
+# works like --flag V.
+expect_exit 2 build/bench/lz_report --no-such-flag
+expect_exit 2 build/bench/lz_report BENCH_throughput.json \
+  BENCH_throughput.json --result-min
+build/bench/lz_report BENCH_throughput.json BENCH_throughput.json \
+  --result-floor=straight_line.mips.median:0 >/dev/null
 
 # The shared flag parser rejects unknown flags loudly (exit 2), so a typo
 # can never silently run the wrong experiment — and --help documents the

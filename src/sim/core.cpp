@@ -596,6 +596,19 @@ void Core::raise_sync(ExceptionClass ec, u32 iss, u64 far, u64 ipa,
   take_exception(info);
 }
 
+void Core::raise_abort(const Translation& tr, u64 va, AccessType type) {
+  const bool lower = pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
+  const bool fetch = type == AccessType::kFetch;
+  const auto ec = fetch ? (lower ? ExceptionClass::kInsnAbortLowerEl
+                                 : ExceptionClass::kInsnAbortSameEl)
+                        : (lower ? ExceptionClass::kDataAbortLowerEl
+                                 : ExceptionClass::kDataAbortSameEl);
+  const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
+                                : arch::translation_fault(tr.fault_level);
+  raise_sync(ec, arch::make_abort_iss(fs, type == AccessType::kWrite), va,
+             tr.fault_ipa, tr.stage2_fault);
+}
+
 void Core::eret_from(ExceptionLevel from_el) {
   flush_pending();  // the return trace's timestamp must be exact
   const bool el2 = from_el == ExceptionLevel::kEl2;
@@ -705,14 +718,7 @@ void Core::step() {
       stop_unhandled_ = true;
       return;
     }
-    const bool lower = pstate_.el == ExceptionLevel::kEl0 || fetch.stage2_fault;
-    const auto ec = lower ? ExceptionClass::kInsnAbortLowerEl
-                          : ExceptionClass::kInsnAbortSameEl;
-    const auto fs = fetch.permission
-                        ? arch::permission_fault(fetch.fault_level)
-                        : arch::translation_fault(fetch.fault_level);
-    raise_sync(ec, arch::make_abort_iss(fs, false), insn_pc, fetch.fault_ipa,
-               fetch.stage2_fault);
+    raise_abort(fetch, insn_pc, AccessType::kFetch);
     return;
   }
   nested_faults_ = 0;
@@ -963,14 +969,7 @@ void Core::exec_ldst(const Insn& insn) {
   const auto type = insn.is_load() ? AccessType::kRead : AccessType::kWrite;
   const auto tr = translate(va, type, unpriv);
   if (!tr.ok) {
-    const bool lower =
-        pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
-    const auto ec = lower ? ExceptionClass::kDataAbortLowerEl
-                          : ExceptionClass::kDataAbortSameEl;
-    const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
-                                  : arch::translation_fault(tr.fault_level);
-    raise_sync(ec, arch::make_abort_iss(fs, type == AccessType::kWrite), va,
-               tr.fault_ipa, tr.stage2_fault);
+    raise_abort(tr, va, type);
     return;
   }
 
@@ -1217,14 +1216,8 @@ Core::MemResult Core::mem_read(VirtAddr va, u8 size) {
   MemResult r;
   const auto tr = translate(va, AccessType::kRead, false);
   if (!tr.ok) {
-    const bool lower = pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
-    const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
-                                  : arch::translation_fault(tr.fault_level);
     pending_elr_ = pc_;
-    raise_sync(lower ? ExceptionClass::kDataAbortLowerEl
-                     : ExceptionClass::kDataAbortSameEl,
-               arch::make_abort_iss(fs, false), va, tr.fault_ipa,
-               tr.stage2_fault);
+    raise_abort(tr, va, AccessType::kRead);
     return r;
   }
   charge_host_access();
@@ -1238,14 +1231,8 @@ Core::MemResult Core::mem_write(VirtAddr va, u8 size, u64 value) {
   MemResult r;
   const auto tr = translate(va, AccessType::kWrite, false);
   if (!tr.ok) {
-    const bool lower = pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
-    const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
-                                  : arch::translation_fault(tr.fault_level);
     pending_elr_ = pc_;
-    raise_sync(lower ? ExceptionClass::kDataAbortLowerEl
-                     : ExceptionClass::kDataAbortSameEl,
-               arch::make_abort_iss(fs, true), va, tr.fault_ipa,
-               tr.stage2_fault);
+    raise_abort(tr, va, AccessType::kWrite);
     return r;
   }
   charge_host_access();

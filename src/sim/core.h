@@ -269,6 +269,12 @@ class Core {
  private:
   void execute(const arch::Insn& insn);
   void raise_sync(ExceptionClass ec, u32 iss, u64 far, u64 ipa, bool stage2);
+  // The instruction or data abort for a failed translation of `va`: lower-
+  // vs same-EL class, permission vs translation fault status, WnR for a
+  // write. The caller sets pending_elr_ first. Cold and out of line, so
+  // the fault path stays out of the fetch and load/store hot paths.
+  [[gnu::cold, gnu::noinline]] void raise_abort(const Translation& tr, u64 va,
+                                               AccessType type);
   ExceptionLevel route_sync_target(ExceptionClass ec, bool stage2) const;
   bool cond_holds(arch::Cond cond) const;
   void exec_system(const arch::Insn& insn);

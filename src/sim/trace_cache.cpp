@@ -562,14 +562,7 @@ bool Core::trace_ldst(Trace& t, const TraceOp& op, unsigned i) {
     pending_insn_cycles_ -= t.cycles - op.cyc;
     pc_ = insn_pc + 4;
     pending_elr_ = insn_pc;
-    const bool lower_el =
-        pstate_.el == ExceptionLevel::kEl0 || tr.stage2_fault;
-    const auto ec = lower_el ? ExceptionClass::kDataAbortLowerEl
-                             : ExceptionClass::kDataAbortSameEl;
-    const auto fs = tr.permission ? arch::permission_fault(tr.fault_level)
-                                  : arch::translation_fault(tr.fault_level);
-    raise_sync(ec, arch::make_abort_iss(fs, store), va, tr.fault_ipa,
-               tr.stage2_fault);
+    raise_abort(tr, va, type);
     return false;
   }
   pending_mem_cycles_ += plat_.mem_access;

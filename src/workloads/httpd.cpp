@@ -15,88 +15,83 @@ namespace lz::workload {
 
 namespace {
 
-// Per-tenant request instruments (labeled series, DESIGN.md §17). Handles
-// are resolved once per worker before its request loop — the loop itself
-// records through cached pointers (one relaxed add each), and without
-// --metrics-out the pointers stay null and the loop pays one branch.
-struct TenantRequestMetrics {
-  obs::Counter* requests = nullptr;
-  obs::Histogram* request_cycles = nullptr;
+// The per-event cycle costs of one configuration, probed from its driver
+// (pure numbers: the SMP run charges its own machine with them).
+struct EventCosts {
+  Cycles domain_setup = 0;
+  Cycles syscall = 0;
+  Cycles tlb_miss = 0;
 
-  static TenantRequestMetrics resolve(const std::string& tenant) {
-    TenantRequestMetrics m;
-    if (!obs::registry().labels_enabled()) return m;
-    obs::LabelSet labels;
-    labels.set(obs::LabelKey::kTenant, tenant);
-    m.requests = &obs::registry().counter("httpd.requests", labels);
-    m.request_cycles = &obs::registry().histogram("httpd.request_cycles", labels);
-    return m;
+  static EventCosts of(const AppDriver& driver) {
+    return {driver.domain_setup_cost(), driver.syscall_cost(),
+            driver.tlb_miss_cost()};
   }
 };
 
-}  // namespace
-
-HttpdParams HttpdParams::defaults(const arch::Platform& platform) {
-  HttpdParams p;
-  // Baseline per-request compute (TLS handshake share + record crypto +
-  // HTTP parsing). The wide Carmel core retires the same work in fewer
-  // cycles than the in-order A55.
-  p.app_cycles_per_request =
-      &platform == &arch::Platform::carmel() ? 667'000 : 905'000;
-  return p;
-}
-
-HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
-  AppDriver driver(config);
-  auto& machine = driver.machine();
-  auto& core = machine.core();
-  Rng rng(config.seed);
-
-  // Key arena: one page-aligned slot per live AES_KEY (the paper notes the
-  // resulting fragmentation: each key gets its own 4 KiB page, §9.1).
-  const VirtAddr key_arena = core::Env::kHeapVa;
-  driver.setup_domains(key_arena, kPageSize, params.concurrent_keys);
-
-  // Install the actual key material.
-  for (int k = 0; k < params.concurrent_keys; ++k) {
+// Key arena: one page-aligned slot per live AES_KEY (the paper notes the
+// resulting fragmentation: each key gets its own 4 KiB page, §9.1). The
+// key material is drawn from `rng` and written through the kernel-side
+// view of the process's memory.
+void install_keys(kernel::Kernel& kern, kernel::Process& proc,
+                  VirtAddr key_arena, int count, Rng& rng) {
+  for (int k = 0; k < count; ++k) {
     u8 key[crypto::kAesKeySize];
     for (auto& b : key) b = static_cast<u8>(rng.next());
-    // Write through the kernel-side view of the process's memory.
-    driver.env().kern().copy_to_user(
-        driver.proc(), key_arena + static_cast<u64>(k) * kPageSize, key,
-        sizeof(key));
+    kern.copy_to_user(proc, key_arena + static_cast<u64>(k) * kPageSize, key,
+                      sizeof(key));
   }
+}
 
-  u8 response[1024];
-  for (auto& b : response) b = static_cast<u8>(rng.next());
-  double checksum = 0;
-
+// One worker's request stream, served on the calling thread's bound core
+// of `machine`. `enter_domain(key)` / `exit_domain(key)` are the worker's
+// domain switch around every gated crypto call. Fills every HttpdResult
+// field but isolation_table_pages, which the caller knows.
+template <class EnterDomain, class ExitDomain>
+HttpdResult serve_requests(sim::Machine& machine, kernel::Process& proc,
+                           const std::string& tenant, u16 vmid,
+                           const EventCosts& costs, VirtAddr key_arena,
+                           const u8 (&response)[1024],
+                           const HttpdParams& params,
+                           EnterDomain enter_domain, ExitDomain exit_domain) {
+  auto& core = machine.core();
+  auto& account = machine.account();
   // Tenant identity for span/profile attribution: the worker's VMID (its
   // LightZone context, if any) and the process ASID.
-  const u16 span_vmid = driver.lz() ? driver.lz()->ctx().vmid : 0;
-  const u16 span_asid = driver.proc().asid();
-  obs::set_domain_label(span_vmid, span_asid, "httpd-worker");
-  const auto tenant_metrics = TenantRequestMetrics::resolve("httpd-worker");
+  const u16 asid = proc.asid();
+  // Per-tenant request instruments (labeled series, DESIGN.md §17),
+  // resolved once: without --metrics-out they stay null and the loop pays
+  // one branch.
+  obs::Counter* requests = nullptr;
+  obs::Histogram* request_cycles = nullptr;
+  if (obs::registry().labels_enabled()) {
+    obs::LabelSet labels;
+    labels.set(obs::LabelKey::kTenant, tenant);
+    requests = &obs::registry().counter("httpd.requests", labels);
+    request_cycles =
+        &obs::registry().histogram("httpd.request_cycles", labels);
+  }
+  double checksum = 0;
 
-  const Cycles start = machine.cycles();
+  const Cycles start = account.total();
   Cycles req_start = start;
   for (int r = 0; r < params.requests; ++r) {
     const obs::SpanScope request_span(obs::SpanKind::kRequest,
-                                      static_cast<u64>(r), span_vmid,
-                                      span_asid);
+                                      static_cast<u64>(r), vmid, asid);
     // New connection: session key set-up in its domain.
     const int key_id = r % params.concurrent_keys;
-    machine.charge(sim::CostKind::kDispatch, driver.domain_setup_cost());
+    machine.charge(sim::CostKind::kDispatch, costs.domain_setup);
 
     // Network + file syscalls.
-    driver.charge_syscalls(params.syscalls_per_request);
+    machine.charge(sim::CostKind::kDispatch,
+                   static_cast<Cycles>(params.syscalls_per_request) *
+                       costs.syscall);
 
     // Function-grained crypto: every call passes the isolation boundary,
     // fetches the key from protected memory, and encrypts its share of
     // the traffic.
     const VirtAddr key_va = key_arena + static_cast<u64>(key_id) * kPageSize;
     for (int c = 0; c < params.gated_crypto_calls; ++c) {
-      driver.enter_domain(key_id);
+      enter_domain(key_id);
       u8 key[crypto::kAesKeySize];
       {
         const sim::Core::HostAccessScope batch(core);
@@ -106,7 +101,7 @@ HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
         std::memcpy(key, &lo.value, 8);
         std::memcpy(key + 8, &hi.value, 8);
       }
-      driver.exit_domain(key_id);
+      exit_domain(key_id);
 
       if (c == 0) {
         // One real AES-CBC encryption of the 1 KB response per request;
@@ -122,22 +117,64 @@ HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
       }
     }
 
-    driver.charge_tlb_misses(params.tlb_misses_per_request);
-    driver.charge_app(params.app_cycles_per_request);
-    if (tenant_metrics.requests != nullptr) {
-      const Cycles req_end = machine.cycles();
-      tenant_metrics.requests->add();
-      tenant_metrics.request_cycles->record(req_end - req_start);
+    machine.charge(sim::CostKind::kTlb,
+                   static_cast<Cycles>(params.tlb_misses_per_request *
+                                       costs.tlb_miss));
+    machine.charge(sim::CostKind::kWorkload, params.app_cycles_per_request);
+    LZ_CHECK(proc.alive());
+    if (requests != nullptr) {
+      const Cycles req_end = account.total();
+      requests->add();
+      request_cycles->record(req_end - req_start);
       req_start = req_end;
     }
   }
 
   HttpdResult result;
   result.cycles_per_request =
-      static_cast<double>(machine.cycles() - start) / params.requests;
+      static_cast<double>(account.total() - start) / params.requests;
   result.response_checksum = checksum;
-  result.isolation_table_pages = driver.isolation_table_pages();
   result.key_pages = params.concurrent_keys;
+  return result;
+}
+
+}  // namespace
+
+void record_tenant_rps(const std::string& tenant, double rps) {
+  if (!obs::registry().labels_enabled()) return;
+  obs::LabelSet labels;
+  labels.set(obs::LabelKey::kTenant, tenant);
+  obs::registry().histogram("httpd.rps", labels).record(static_cast<u64>(rps));
+}
+
+HttpdParams HttpdParams::defaults(const arch::Platform& platform) {
+  HttpdParams p;
+  // Baseline per-request compute (TLS handshake share + record crypto +
+  // HTTP parsing). The wide Carmel core retires the same work in fewer
+  // cycles than the in-order A55.
+  p.app_cycles_per_request =
+      &platform == &arch::Platform::carmel() ? 667'000 : 905'000;
+  return p;
+}
+
+HttpdResult run_httpd(const AppConfig& config, const HttpdParams& params) {
+  AppDriver driver(config);
+  Rng rng(config.seed);
+  const VirtAddr key_arena = core::Env::kHeapVa;
+  driver.setup_domains(key_arena, kPageSize, params.concurrent_keys);
+  install_keys(driver.env().kern(), driver.proc(), key_arena,
+               params.concurrent_keys, rng);
+  u8 response[1024];
+  for (auto& b : response) b = static_cast<u8>(rng.next());
+
+  const u16 vmid = driver.lz() ? driver.lz()->ctx().vmid : 0;
+  obs::set_domain_label(vmid, driver.proc().asid(), "httpd-worker");
+  HttpdResult result = serve_requests(
+      driver.machine(), driver.proc(), "httpd-worker", vmid,
+      EventCosts::of(driver), key_arena, response, params,
+      [&](int key_id) { driver.enter_domain(key_id); },
+      [&](int key_id) { driver.exit_domain(key_id); });
+  result.isolation_table_pages = driver.isolation_table_pages();
   return result;
 }
 
@@ -155,22 +192,14 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
                              const HttpdParams& params, unsigned cores,
                              int concurrency) {
   using core::Env;
-  using core::LzProc;
   LZ_CHECK(cores >= 1);
   LZ_CHECK(config.mech == Mechanism::kNone ||
            config.mech == Mechanism::kLzPan ||
            config.mech == Mechanism::kLzTtbr);
 
   // Per-event cycle costs probed from a single-core driver of the same
-  // configuration (they are pure numbers; the SMP run charges its own
-  // machine with them).
-  Cycles setup_cost = 0, syscall_cost = 0, tlb_miss = 0;
-  {
-    AppDriver probe(config);
-    setup_cost = probe.domain_setup_cost();
-    syscall_cost = probe.syscall_cost();
-    tlb_miss = probe.tlb_miss_cost();
-  }
+  // configuration.
+  const EventCosts costs = EventCosts::of(AppDriver(config));
 
   Env env(Env::Options()
               .platform(*config.platform)
@@ -179,11 +208,14 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
               .seed(config.seed));
   auto& machine = *env.machine;
   const VirtAddr key_arena = Env::kHeapVa;
+  const auto tenant = [](unsigned w) {
+    return "httpd-worker" + std::to_string(w);
+  };
 
   // Deterministic setup, sequential on the main thread: one worker process
   // per core with its own key arena, domains and (for TTBR) call gates.
   std::vector<kernel::Process*> procs(cores);
-  std::vector<std::optional<LzProc>> lzs(cores);
+  std::vector<std::optional<core::LzProc>> lzs(cores);
   for (unsigned w = 0; w < cores; ++w) {
     sim::Machine::CoreBinding bind(machine, w);
     auto& proc = env.new_process();
@@ -192,20 +224,11 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
     setup_process_domains(env, proc, config.mech,
                           lzs[w] ? &*lzs[w] : nullptr, key_arena, kPageSize,
                           params.concurrent_keys);
-
-    // Tenant label for span/profile attribution of this worker's domain.
     obs::set_domain_label(lzs[w] ? lzs[w]->ctx().vmid : 0, proc.asid(),
-                          "httpd-worker" + std::to_string(w));
-
-    // Install the key material (per-worker keys differ by seed).
+                          tenant(w));
+    // Per-worker keys differ by seed.
     Rng rng(config.seed + w);
-    for (int k = 0; k < params.concurrent_keys; ++k) {
-      u8 key[crypto::kAesKeySize];
-      for (auto& b : key) b = static_cast<u8>(rng.next());
-      env.kern().copy_to_user(proc,
-                              key_arena + static_cast<u64>(k) * kPageSize,
-                              key, sizeof(key));
-    }
+    install_keys(env.kern(), proc, key_arena, params.concurrent_keys, rng);
   }
 
   // Concurrent phase: every worker serves its request stream on its core.
@@ -216,83 +239,23 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
   result.per_core.resize(cores);
   for (unsigned w = 0; w < cores; ++w) {
     env.kern().run_on(w, [&, w](unsigned core_id) {
-      auto& core = machine.core(core_id);
-      auto& proc = *procs[w];
+      auto& lz = lzs[w];
       Rng rng(config.seed ^ (0x9e3779b9u * (core_id + 1)));
       u8 response[1024];
       for (auto& b : response) b = static_cast<u8>(rng.next());
-      double checksum = 0;
-
-      const auto enter_dom = [&](int key_id) {
-        if (lzs[w]) lz_enter_domain(*lzs[w], config.mech, key_id);
-      };
-      const auto exit_dom = [&] {
-        if (lzs[w]) lz_exit_domain(*lzs[w], config.mech);
-      };
-
-      const u16 span_vmid = lzs[w] ? lzs[w]->ctx().vmid : 0;
-      const u16 span_asid = proc.asid();
-      const auto tenant_metrics =
-          TenantRequestMetrics::resolve("httpd-worker" + std::to_string(w));
-
-      const Cycles start = machine.account(core_id).total();
-      Cycles req_start = start;
-      for (int r = 0; r < params.requests; ++r) {
-        const obs::SpanScope request_span(obs::SpanKind::kRequest,
-                                          static_cast<u64>(r), span_vmid,
-                                          span_asid);
-        const int key_id = r % params.concurrent_keys;
-        machine.charge(sim::CostKind::kDispatch, setup_cost);
-        machine.charge(sim::CostKind::kDispatch,
-                       static_cast<Cycles>(params.syscalls_per_request) *
-                           syscall_cost);
-        const VirtAddr key_va =
-            key_arena + static_cast<u64>(key_id) * kPageSize;
-        for (int c = 0; c < params.gated_crypto_calls; ++c) {
-          enter_dom(key_id);
-          u8 key[crypto::kAesKeySize];
-          {
-            const sim::Core::HostAccessScope batch(core);
-            const auto lo = core.mem_read(key_va, 8);
-            const auto hi = core.mem_read(key_va + 8, 8);
-            LZ_CHECK(lo.ok && hi.ok);
-            std::memcpy(key, &lo.value, 8);
-            std::memcpy(key + 8, &hi.value, 8);
-          }
-          exit_dom();
-          if (c == 0) {
-            const auto expanded = crypto::aes_expand_key(key);
-            u8 iv[crypto::kAesBlockSize] = {};
-            iv[0] = static_cast<u8>(r);
-            u8 buf[1024];
-            std::memcpy(buf, response, sizeof(buf));
-            crypto::aes_cbc_encrypt(expanded, iv, buf, sizeof(buf));
-            checksum += buf[0] + buf[512] + buf[1023];
-          }
-        }
-        machine.charge(sim::CostKind::kTlb,
-                       static_cast<Cycles>(params.tlb_misses_per_request *
-                                           tlb_miss));
-        machine.charge(sim::CostKind::kWorkload,
-                       params.app_cycles_per_request);
-        LZ_CHECK(proc.alive());
-        if (tenant_metrics.requests != nullptr) {
-          const Cycles req_end = machine.account(core_id).total();
-          tenant_metrics.requests->add();
-          tenant_metrics.request_cycles->record(req_end - req_start);
-          req_start = req_end;
-        }
-      }
 
       HttpdResult& res = result.per_core[core_id];
-      res.cycles_per_request =
-          static_cast<double>(machine.account(core_id).total() - start) /
-          params.requests;
-      res.response_checksum = checksum;
-      res.isolation_table_pages =
-          lzs[w] ? lzs[w]->ctx().isolation_table_pages() : 0;
-      res.key_pages = params.concurrent_keys;
-      if (lzs[w]) lzs[w]->exit_world();
+      res = serve_requests(
+          machine, *procs[w], tenant(w), lz ? lz->ctx().vmid : 0, costs,
+          key_arena, response, params,
+          [&](int key_id) {
+            if (lz) lz_enter_domain(*lz, config.mech, key_id);
+          },
+          [&](int) {
+            if (lz) lz_exit_domain(*lz, config.mech);
+          });
+      res.isolation_table_pages = lz ? lz->ctx().isolation_table_pages() : 0;
+      if (lz) lz->exit_world();
     });
   }
   env.kern().schedule();
@@ -304,14 +267,7 @@ HttpdSmpResult run_httpd_smp(const AppConfig& config,
     const double rps =
         httpd_throughput_rps(result.per_core[w], params, config, share);
     result.total_rps += rps;
-    // Per-tenant rps distribution: one sample per worker per run, so a
-    // fig3 sweep accumulates the per-tenant throughput spread across its
-    // combo/mechanism grid.
-    if (obs::registry().labels_enabled()) {
-      obs::LabelSet labels;
-      labels.set(obs::LabelKey::kTenant, "httpd-worker" + std::to_string(w));
-      obs::registry().histogram("httpd.rps", labels).record(static_cast<u64>(rps));
-    }
+    record_tenant_rps(tenant(w), rps);
   }
   return result;
 }

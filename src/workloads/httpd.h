@@ -9,6 +9,7 @@
 // the protection mechanisms are genuinely on the request path.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "workloads/app_driver.h"
@@ -58,5 +59,10 @@ struct HttpdSmpResult {
 HttpdSmpResult run_httpd_smp(const AppConfig& config,
                              const HttpdParams& params, unsigned cores,
                              int concurrency);
+
+// One throughput sample for `tenant`'s `httpd.rps` distribution (labeled
+// series, so a no-op unless --metrics-out enabled labels). run_httpd_smp
+// records one per worker; a single-worker sweep records its own.
+void record_tenant_rps(const std::string& tenant, double rps);
 
 }  // namespace lz::workload

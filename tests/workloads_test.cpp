@@ -253,6 +253,63 @@ TEST(HttpdTest, PageTableMemoryOverheadScalesWithDomains) {
   EXPECT_GT(ttbr.isolation_table_pages, 3 * pan.isolation_table_pages);
 }
 
+// A short TTBR run's request cost and ciphertext, pinned: the request
+// loop's charge sequence and Rng streams must not drift (lzperf
+// https_ttbr replays the same loop and checks both figures).
+TEST(HttpdTest, TtbrRequestCostAndChecksumArePinned) {
+  HttpdParams p = HttpdParams::defaults(arch::Platform::cortex_a55());
+  p.requests = 20;
+  const auto r = run_httpd(cfg(arch::Platform::cortex_a55(), Placement::kHost,
+                               Mechanism::kLzTtbr),
+                           p);
+  EXPECT_DOUBLE_EQ(r.cycles_per_request, 919940.6);
+  EXPECT_EQ(r.response_checksum, 8309);
+}
+
+// --- Multi-worker httpd --------------------------------------------------------
+
+// Every worker serves its own stream through the same request loop: its
+// per-request cost does not depend on how many other workers run, worker 0
+// charges the same at 1 and 2 cores, and each worker encrypts with its own
+// keys. Under TTBR worker 1's cost differs from worker 0's by 0.9 cycles
+// per request at this length; both values are pinned.
+TEST(HttpdSmpTest, WorkersServeTheirOwnStreamsAtAnyCoreCount) {
+  struct Want {
+    Mechanism mech;
+    double cycles_per_request[2];  // worker 0, worker 1
+  };
+  const Want wants[] = {
+      {Mechanism::kNone, {909250, 909250}},
+      {Mechanism::kLzPan, {913354, 913354}},
+      {Mechanism::kLzTtbr, {920107, 920106.1}},
+  };
+  HttpdParams p = HttpdParams::defaults(arch::Platform::cortex_a55());
+  p.requests = 40;
+  for (const Want& want : wants) {
+    SCOPED_TRACE(to_string(want.mech));
+    const AppConfig c =
+        cfg(arch::Platform::cortex_a55(), Placement::kHost, want.mech);
+    for (const unsigned cores : {1u, 2u}) {
+      const auto smp = run_httpd_smp(c, p, cores, 64);
+      ASSERT_EQ(smp.per_core.size(), cores);
+      for (unsigned w = 0; w < cores; ++w) {
+        const HttpdResult& r = smp.per_core[w];
+        EXPECT_DOUBLE_EQ(r.cycles_per_request, want.cycles_per_request[w]);
+        EXPECT_NE(r.response_checksum, 0);
+        EXPECT_EQ(r.key_pages, static_cast<u64>(p.concurrent_keys));
+        if (want.mech == Mechanism::kLzTtbr) {
+          EXPECT_GT(r.isolation_table_pages, 0u);
+        }
+      }
+      EXPECT_GT(smp.total_rps, 0);
+      if (cores == 2) {
+        EXPECT_NE(smp.per_core[0].response_checksum,
+                  smp.per_core[1].response_checksum);
+      }
+    }
+  }
+}
+
 // --- POE / CCA through AppDriver ------------------------------------------------
 
 // The cost-model backends build their domains and switch through the same
